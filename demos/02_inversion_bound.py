@@ -9,7 +9,7 @@ is therefore capped at 1 - R, no matter how the model was trained.
 
 import numpy as np
 
-from symdigits import (FeatureDataset, Identity, TrainConfig, augment_shifts,
+from symdigits import (Identity, TrainConfig, augment_shifts,
                        bound_check, forward, init_mlp, load_bundled_dataset,
                        softmax, split, train)
 
@@ -37,7 +37,7 @@ print(f"untrained model: R={report.R:.3f}  Rbar={report.R_bar:.3f}  "
 
 # now train for real (smaller epoch budget than the table runs, for speed)
 config = TrainConfig(seed=0, epochs=60, use_bias=False)
-result = train(config, FeatureDataset(train_ds.pixels, train_ds.labels))
+result = train(config, Identity().apply(train_ds.pixels), train_ds.labels)
 report = bound_check(result.mlp, Identity(), test_ds)
 print(f"trained model:   R={report.R:.3f}  Rbar={report.R_bar:.4f}  "
       f"sum={report.bound_sum:.3f}  holds={report.holds}")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from symdigits import (FeatureDataset, TrainConfig, augment_shifts, init_mlp,
+from symdigits import (Identity, TrainConfig, augment_shifts, init_mlp,
                        inversion_group, load_bundled_dataset,
                        sampled_loss_expectation, split, symmetrize, train)
 from symdigits.degeneracy import (generator_curvature_sweep, make_toy_task,
@@ -31,8 +31,8 @@ ds = load_bundled_dataset()
 train_ds, _ = split(augment_shifts(ds), seed=0)
 symmetrized = symmetrize(train_ds)
 
-result = train(TrainConfig(seed=0, epochs=40), FeatureDataset(train_ds.pixels,
-                                                              train_ds.labels))
+result = train(TrainConfig(seed=0, epochs=40), Identity().apply(train_ds.pixels),
+               train_ds.labels)
 flip_on_symmetrized = weight_orbit_invariance(result.mlp, symmetrized)
 flip_witness = weight_flip_deviation(result.mlp, train_ds)
 print(f"trained net, W1 -> -W1 relative loss change:")

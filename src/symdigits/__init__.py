@@ -10,9 +10,9 @@ from .features import (Identity, Inversion, NeighborProduct, PermutationProduct,
                        apply_feature_map, apply_group, feature_map_from_name,
                        inversion_group, is_closed_group, make_permutation,
                        relative_sign, rotation_group)
-from .network import (FeatureDataset, Layer, Mlp, TrainConfig, TrainResult,
-                      TrainingDiverged, backward, cross_entropy_loss, forward,
-                      grad_check, init_mlp, predict, softmax, train)
+from .network import (Layer, Mlp, TrainConfig, TrainResult, TrainingDiverged,
+                      backward, cross_entropy_loss, forward, grad_check,
+                      init_mlp, predict, softmax, train)
 from .persistence import load_model, save_model
 from .experiments import (BoundCheckReport, EvalReport, RowSpec, accuracy,
                           bound_check, reproduce_tables, run_row)

@@ -2,7 +2,8 @@
 and symmetry probes, all with deterministic file outputs.
 
 Exit status: 0 = success and every asserted invariant passed; 1 = usage or
-configuration error; 2 = an invariant or acceptance band failed.
+configuration error; 2 = an invariant or acceptance band failed, or training
+diverged.
 Every command writes a manifest echoing the fully resolved configuration
 (timestamps live only there, so reruns are byte-identical elsewhere).
 """
@@ -31,7 +32,7 @@ from .experiments import (PAPER_VALUES, bound_check, evaluate, format_verdicts,
                           reproduce_tables)
 from .features import (Identity, NeighborProduct, apply_feature_map,
                        feature_map_from_name, inversion_group)
-from .network import FeatureDataset, TrainConfig, init_mlp, train
+from .network import TrainConfig, TrainingDiverged, init_mlp, train
 from .persistence import load_model, save_model
 from .svg import bar_chart, line_chart
 
@@ -66,6 +67,7 @@ DEFAULTS = {
 }
 
 _BOOL_KEYS = {"bias", "invert"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 _INT_KEYS = {"seed", "perm_seed", "epochs", "batch", "jobs", "n", "trials", "samples"}
 _FLOAT_KEYS = {"lr", "momentum", "mu", "test_fraction"}
 
@@ -88,14 +90,14 @@ def _parse_config_file(path) -> dict:
             raise CliError(f"{path}: line {lineno}: unknown key {key!r}")
         try:
             if key in _BOOL_KEYS:
-                values[key] = value.lower() in ("1", "true", "yes")
+                values[key] = _BOOL_WORDS[value.lower()]
             elif key in _INT_KEYS:
                 values[key] = int(value)
             elif key in _FLOAT_KEYS:
                 values[key] = float(value)
             else:
                 values[key] = value
-        except ValueError:
+        except (KeyError, ValueError):
             raise CliError(f"{path}: line {lineno}: bad value for {key}") from None
     return values
 
@@ -153,12 +155,10 @@ def _feature_map(resolved):
     return feature_map_from_name(resolved["features"], resolved["perm_seed"])
 
 
-def _train_config(resolved, use_bias, feature_map, seed=None) -> TrainConfig:
+def _train_config(resolved, use_bias) -> TrainConfig:
     return TrainConfig(
-        seed=resolved["seed"] if seed is None else seed,
-        epochs=resolved["epochs"], batch_size=resolved["batch"],
-        learning_rate=resolved["lr"], momentum=resolved["momentum"],
-        use_bias=use_bias, feature_map=feature_map)
+        seed=resolved["seed"], epochs=resolved["epochs"], batch_size=resolved["batch"],
+        learning_rate=resolved["lr"], momentum=resolved["momentum"], use_bias=use_bias)
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +207,9 @@ def cmd_train(args) -> int:
     resolved = _resolve(args)
     out = _out_dir(resolved)
     feature_map = _feature_map(resolved)
-    config = _train_config(resolved, resolved["bias"], feature_map)
+    config = _train_config(resolved, resolved["bias"])
     train_ds, test_ds = _load_splits(resolved)
-    feature_set = FeatureDataset.from_dataset(train_ds, feature_map)
-    result = train(config, feature_set)
+    result = train(config, feature_map.apply(train_ds.pixels), train_ds.labels)
     save_model(out / "model.json", result.mlp, feature_map)
     with open(out / "training_curve.csv", "w", newline="", encoding="ascii") as f:
         writer = csv.writer(f)
@@ -218,7 +217,7 @@ def cmd_train(args) -> int:
         writer.writerows((i + 1, loss) for i, loss in enumerate(result.epoch_losses))
     report = evaluate(result.mlp, feature_map, test_ds,
                       model_id=f"train-seed{config.seed}",
-                      train_set_name=train_ds.name, n_train=len(feature_set))
+                      train_set_name=train_ds.name, n_train=len(train_ds))
     _write_json(out / "train_report.json", report.to_dict())
     _write_manifest(out, "train", resolved)
     print(f"model -> {out / 'model.json'}  R={report.R:.4f}  Rbar={report.R_bar:.4f}")
@@ -297,7 +296,7 @@ def cmd_reproduce(args) -> int:
     seeds = [int(s) for s in str(resolved["seeds"]).split(",") if s.strip() != ""]
     ds = load_dataset(_data_path(resolved))
     augmented = augment_shifts(ds)
-    config = _train_config(resolved, use_bias=False, feature_map=Identity())
+    config = _train_config(resolved, use_bias=False)
     tables = (args.what,) if args.what in ("table1", "table2") else ("table1", "table2")
     report = reproduce_tables(augmented, seeds, config=config, tables=tables,
                               test_fraction=resolved["test_fraction"],
@@ -319,8 +318,8 @@ def cmd_reproduce(args) -> int:
         for seed in seeds:
             train_ds, test_ds = split(augmented, test_fraction=resolved["test_fraction"],
                                       seed=seed)
-            feature_set = FeatureDataset.from_dataset(train_ds, Identity())
-            result = train(replace(config, seed=seed, use_bias=False), feature_set)
+            result = train(replace(config, seed=seed), Identity().apply(train_ds.pixels),
+                           train_ds.labels)
             verdict = bound_check(result.mlp, Identity(), test_ds)
             if not verdict.holds or verdict.n_argmin_violations:
                 bound_failures.append((seed, verdict.to_dict()))
@@ -523,7 +522,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except CheckFailed as exc:
+    except (CheckFailed, TrainingDiverged) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

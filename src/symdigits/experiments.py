@@ -22,7 +22,7 @@ import numpy as np
 from .digits import Dataset, N_CLASSES, invert_dataset, split, symmetrize
 from .features import (FeatureMapKind, Identity, NeighborProduct,
                        PermutationProduct, Square)
-from .network import FeatureDataset, Mlp, TrainConfig, predict, forward, train
+from .network import Mlp, TrainConfig, predict, forward, train
 
 
 def accuracy(mlp: Mlp, feature_map: FeatureMapKind, dataset: Dataset):
@@ -165,10 +165,9 @@ def evaluate(mlp: Mlp, feature_map: FeatureMapKind, test: Dataset,
 
 def run_row(row: RowSpec, train_ds: Dataset, test_ds: Dataset) -> EvalReport:
     """Build the row's training set, train, and evaluate on X_test and -X_test."""
-    config = replace(row.config, use_bias=row.bias_mode, feature_map=row.feature_map)
+    config = replace(row.config, use_bias=row.bias_mode)
     effective = symmetrize(train_ds) if row.train_variant == "pmX_train" else train_ds
-    feature_set = FeatureDataset.from_dataset(effective, row.feature_map)
-    result = train(config, feature_set)
+    result = train(config, row.feature_map.apply(effective.pixels), effective.labels)
     return evaluate(result.mlp, row.feature_map, test_ds,
                     row.model_id, effective.name, len(effective))
 
@@ -252,9 +251,7 @@ class TablesReport:
 
 def _run_cell_job(args) -> tuple:
     """Worker for one (table, seed, row) training; top level for pickling."""
-    table, seed, idx, row, train_arrays, test_arrays = args
-    train_ds = Dataset(*train_arrays, name="X_train")
-    test_ds = Dataset(*test_arrays, name="X_test")
+    table, seed, idx, row, train_ds, test_ds = args
     return (table, seed, idx), (row.train_variant, run_row(row, train_ds, test_ds))
 
 
@@ -270,18 +267,22 @@ def reproduce_tables(augmented: Dataset, seeds, config: TrainConfig | None = Non
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"duplicate seeds in {seeds}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     config = config or TrainConfig()
     jobs_list = []
     for seed in seeds:
         train_ds, test_ds = split(augmented, test_fraction=test_fraction, seed=seed)
-        train_arrays = (train_ds.pixels, train_ds.labels, train_ds.origin_ids)
-        test_arrays = (test_ds.pixels, test_ds.labels, test_ds.origin_ids)
+        train_ds = Dataset(train_ds.pixels, train_ds.labels, train_ds.origin_ids, name="X_train")
+        test_ds = Dataset(test_ds.pixels, test_ds.labels, test_ds.origin_ids, name="X_test")
         if "table1" in tables:
             for idx, row in enumerate(table1_rows(seed, config)):
-                jobs_list.append(("table1", seed, idx, row, train_arrays, test_arrays))
+                jobs_list.append(("table1", seed, idx, row, train_ds, test_ds))
         if "table2" in tables:
             for idx, row in enumerate(table2_rows(seed, config)):
-                jobs_list.append(("table2", seed, idx, row, train_arrays, test_arrays))
+                jobs_list.append(("table2", seed, idx, row, train_ds, test_ds))
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -12,19 +12,16 @@ serves as the independent oracle for the backpropagation code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureMapKind, Identity, apply_feature_map
-
 PAPER_HIDDEN_DIMS = (10, 5)
 N_CLASSES = 10
-INIT_SCALE_RULES = ("fan-in-uniform",)
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss stops being finite."""
+    """Raised when the logits or weights stop being finite during training."""
 
 
 @dataclass
@@ -92,9 +89,7 @@ class Mlp:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training knobs.  ``feature_map`` records which transform produced the
-    features (train itself consumes an already-mapped FeatureDataset); it is
-    carried so runs and persisted models stay self-describing."""
+    """Training knobs; the feature map is applied by the caller, before train."""
 
     seed: int = 0
     epochs: int = 200
@@ -102,8 +97,6 @@ class TrainConfig:
     learning_rate: float = 0.05
     momentum: float = 0.9
     use_bias: bool = False
-    feature_map: FeatureMapKind = field(default_factory=Identity)
-    init_scale_rule: str = "fan-in-uniform"
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -114,30 +107,6 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.init_scale_rule not in INIT_SCALE_RULES:
-            raise ValueError(f"unknown init_scale_rule {self.init_scale_rule!r}")
-
-
-@dataclass
-class FeatureDataset:
-    """Feature vectors ready for the network, with their labels."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    name: str = "features"
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64).reshape(
-            len(self.labels), -1)
-        self.labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    @classmethod
-    def from_dataset(cls, dataset, kind: FeatureMapKind) -> "FeatureDataset":
-        return cls(apply_feature_map(kind, dataset.pixels), dataset.labels,
-                   name=f"{kind.name}({dataset.name})")
 
 
 def init_mlp(dims, use_bias: bool, seed_or_rng=0) -> Mlp:
@@ -215,31 +184,39 @@ def total_loss(mlp: Mlp, features, labels) -> float:
     return float(np.sum(sample_loss(mlp, features, labels)))
 
 
-def backward(mlp: Mlp, features, label) -> list[Layer]:
-    """Analytic gradient of the mean cross-entropy over the given samples.
+def loss_and_gradients(mlp: Mlp, X: np.ndarray, y: np.ndarray) -> tuple[float, list[Layer]]:
+    """Summed cross-entropy over a batch and the gradient of its mean.
 
-    For a single sample this is exactly the gradient of that sample's
-    loss.  Returns one gradient Layer per network layer; bias slots are
-    None exactly where the network has no bias.
+    ``X`` is (n, fan_in) float64 and ``y`` holds n integer labels.  This is
+    the one backpropagation path: train steps along it and grad_check
+    checks it.  The gradient list has one Layer per network layer; bias
+    slots are None exactly where the network has no bias.
     """
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(label, dtype=np.int64))
-    result = forward(mlp, x)
+    result = forward(mlp, X)
     probs = softmax(result.logits)
-    n, n_out = probs.shape
-    delta = probs.copy()
+    loss = float(np.sum(cross_entropy_loss(probs, y)))
+    n = len(y)
+    delta = probs
     delta[np.arange(n), y] -= 1.0
     delta /= n
     grads: list[Layer | None] = [None] * len(mlp.layers)
     for i in range(len(mlp.layers) - 1, -1, -1):
         a_prev = result.activations[i]
-        g_w = delta.T @ a_prev
         g_b = delta.sum(axis=0) if mlp.layers[i].bias is not None else None
-        grads[i] = Layer(g_w, g_b)
+        grads[i] = Layer(delta.T @ a_prev, g_b)
         if i > 0:
-            a_cur = result.activations[i]
-            delta = (delta @ mlp.layers[i].weights) * (1.0 - a_cur * a_cur)
-    return grads
+            delta = (delta @ mlp.layers[i].weights) * (1.0 - a_prev * a_prev)
+    return loss, grads
+
+
+def backward(mlp: Mlp, features, label) -> list[Layer]:
+    """Analytic gradient of the mean cross-entropy over the given samples.
+
+    For a single sample this is exactly the gradient of that sample's loss.
+    """
+    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    y = np.atleast_1d(np.asarray(label, dtype=np.int64))
+    return loss_and_gradients(mlp, x, y)[1]
 
 
 @dataclass
@@ -248,20 +225,27 @@ class TrainResult:
     epoch_losses: list[float]
 
 
-def train(config: TrainConfig, train_set: FeatureDataset,
+def train(config: TrainConfig, features, labels,
           hidden_dims=PAPER_HIDDEN_DIMS, n_classes: int = N_CLASSES) -> TrainResult:
     """Mini-batch SGD with momentum; bit-deterministic per (seed, data order).
 
-    One generator seeded from config.seed drives both the parameter init
-    and the per-epoch reshuffles.  Aborts with TrainingDiverged (naming
-    the epoch) if the loss stops being finite.
+    ``features`` is the (n, d) output of a feature map and ``labels`` the n
+    class indices.  One generator seeded from config.seed drives both the
+    parameter init and the per-epoch reshuffles.  Aborts with
+    TrainingDiverged (naming the epoch) once the logits or the weights stop
+    being finite.
     """
-    n = len(train_set)
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if X.ndim != 2 or y.shape != (len(X),):
+        raise ValueError(f"need (n, d) features and n labels, got {X.shape} and {y.shape}")
+    n = len(y)
     if n == 0:
         raise ValueError("training set is empty")
     if config.batch_size > n:
         raise ValueError(f"batch_size {config.batch_size} exceeds dataset size {n}")
-    X, y = train_set.features, train_set.labels
+    if y.min() < 0 or y.max() >= n_classes:
+        raise ValueError(f"label outside 0..{n_classes - 1}")
     rng = np.random.default_rng(config.seed)
     mlp = init_mlp((X.shape[1], *hidden_dims, n_classes), config.use_bias, rng)
     vel = [Layer(np.zeros_like(l.weights), None if l.bias is None else np.zeros_like(l.bias))
@@ -272,32 +256,17 @@ def train(config: TrainConfig, train_set: FeatureDataset,
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            result = forward(mlp, X[idx])
-            probs = softmax(result.logits)
-            batch_loss = cross_entropy_loss(probs, y[idx])
-            loss_sum += float(np.sum(batch_loss))
-            if not np.isfinite(loss_sum):
-                raise TrainingDiverged(f"non-finite loss in epoch {epoch}")
-            m = len(idx)
-            delta = probs
-            delta[np.arange(m), y[idx]] -= 1.0
-            delta /= m
-            for i in range(len(mlp.layers) - 1, -1, -1):
-                g_w = delta.T @ result.activations[i]
-                if i > 0:
-                    a_cur = result.activations[i]
-                    next_delta = (delta @ mlp.layers[i].weights) * (1.0 - a_cur * a_cur)
-                v = vel[i]
-                v.weights = config.momentum * v.weights - config.learning_rate * g_w
-                mlp.layers[i].weights = mlp.layers[i].weights + v.weights
-                if mlp.layers[i].bias is not None:
-                    g_b = delta.sum(axis=0)
-                    v.bias = config.momentum * v.bias - config.learning_rate * g_b
-                    mlp.layers[i].bias = mlp.layers[i].bias + v.bias
-                if i > 0:
-                    delta = next_delta
-            if not config.use_bias:
-                assert all(l.bias is None for l in mlp.layers), "bias appeared in no-bias mode"
+            try:
+                batch_loss, grads = loss_and_gradients(mlp, X[idx], y[idx])
+            except ValueError as exc:  # labels are checked above: the logits overflowed
+                raise TrainingDiverged(f"{exc} in epoch {epoch}") from None
+            loss_sum += batch_loss
+            for layer, v, g in zip(mlp.layers, vel, grads):
+                v.weights = config.momentum * v.weights - config.learning_rate * g.weights
+                layer.weights = layer.weights + v.weights
+                if layer.bias is not None:
+                    v.bias = config.momentum * v.bias - config.learning_rate * g.bias
+                    layer.bias = layer.bias + v.bias
             try:
                 mlp.check_finite()
             except TrainingDiverged as exc:

@@ -18,8 +18,7 @@ from symdigits.degeneracy import (generator_curvature, generator_curvature_sweep
 from symdigits.digits import Dataset, augment_shifts, split, symmetrize
 from symdigits.experiments import bound_check, reproduce_tables
 from symdigits.features import Identity, inversion_group
-from symdigits.network import (FeatureDataset, TrainConfig, backward, grad_check,
-                               init_mlp, train)
+from symdigits.network import TrainConfig, backward, grad_check, init_mlp, train
 from symdigits.persistence import load_model, save_model
 
 SEEDS = [0, 1, 2, 3, 4]
@@ -51,8 +50,7 @@ def trained_nobias(augmented):
     out = []
     for seed in SEEDS:
         train_ds, test_ds = split(augmented, 0.25, seed=seed)
-        result = train(TrainConfig(seed=seed), FeatureDataset(train_ds.pixels,
-                                                              train_ds.labels))
+        result = train(TrainConfig(seed=seed), train_ds.pixels, train_ds.labels)
         out.append((result.mlp, train_ds, test_ds))
     return out
 

@@ -168,6 +168,28 @@ def test_bad_config_file_is_usage_error(tmp_path):
     assert run("train", "--config", str(config)) == 1
 
 
+def test_config_booleans_are_strict(tmp_path, small_csv, capsys):
+    config = tmp_path / "typo.cfg"
+    config.write_text("epochs=1\nbias = ture\n")
+    assert run("train", "--data", small_csv, "--config", str(config)) == 1
+    assert "line 2: bad value for bias" in capsys.readouterr().err
+    config.write_text("epochs=1\nbias = YES\n")
+    out = tmp_path / "out"
+    assert run("train", "--data", small_csv, "--config", str(config),
+               "--out", str(out)) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["bias"] is True
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_training_exits_two_naming_epoch(tmp_path, small_csv, capsys):
+    code = run("train", "--data", small_csv, "--epochs", "2", "--lr", "1e308",
+               "--momentum", "0.99", "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("check failed: ") and " in epoch 1" in err
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
 def test_usage_errors_exit_one():
     assert run("eval") == 1                       # missing --model
     assert run("train", "--features", "cubic") == 1

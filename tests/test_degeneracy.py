@@ -11,7 +11,7 @@ from symdigits.degeneracy import (ROTATION_GENERATOR, dataset_is_inversion_close
 from symdigits.digits import Dataset, symmetrize
 from symdigits.features import (NeighborProduct, Rotation90, Square,
                                 inversion_group, rotation_group)
-from symdigits.network import FeatureDataset, init_mlp, train, TrainConfig
+from symdigits.network import init_mlp, train, TrainConfig
 
 from conftest import random_images
 
@@ -41,7 +41,7 @@ def test_weight_flip_invariance_on_symmetrized_data():
 def test_weight_flip_witness_on_unsymmetrized_data(small_splits, quick_config):
     # a trained model is not invariant to W1 -> -W1 on its own training data
     train_ds, _ = small_splits
-    result = train(quick_config, FeatureDataset(train_ds.pixels, train_ds.labels))
+    result = train(quick_config, train_ds.pixels, train_ds.labels)
     assert weight_flip_deviation(result.mlp, train_ds) > 1e-3
 
 

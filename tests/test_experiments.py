@@ -85,9 +85,9 @@ def test_invariant_features_make_accuracies_identical():
 def test_correct_on_x_implies_wrong_on_inverted_x(small_splits, quick_config):
     # A subset of B-bar: every identity-feature no-bias hit on X_test is a
     # miss on -X_test (up to exact logit ties, which do not occur here)
-    from symdigits.network import FeatureDataset, predict, train
+    from symdigits.network import predict, train
     train_ds, test_ds = small_splits
-    result = train(quick_config, FeatureDataset(train_ds.pixels, train_ds.labels))
+    result = train(quick_config, train_ds.pixels, train_ds.labels)
     preds = predict(result.mlp, test_ds.pixels)
     preds_inv = predict(result.mlp, -test_ds.pixels)
     hits = preds == test_ds.labels
@@ -142,6 +142,15 @@ def test_reproduce_tables_single_seed_emits_14_rows(corpus):
             assert by_seed[0] == report.cells[cell[:4] + ("-X_test",)][0]
     payload = report.to_dict()
     assert set(payload) >= {"seeds", "cells", "cell_means", "verdicts", "reports"}
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"seeds": [0, 1, 0]}, "duplicate seeds"),
+    ({"seeds": [0], "jobs": 0}, "jobs must be >= 1"),
+], ids=["duplicate-seeds", "zero-jobs"])
+def test_reproduce_tables_rejects_bad_inputs(corpus, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        reproduce_tables(corpus, config=TrainConfig(epochs=1), **kwargs)
 
 
 def test_reproduce_tables_csv_output(tmp_path, corpus):

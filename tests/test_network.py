@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from symdigits.network import (FeatureDataset, Layer, Mlp, TrainConfig,
-                               TrainingDiverged, backward, cross_entropy_loss,
-                               forward, grad_check, init_mlp, predict, softmax,
-                               total_loss, train)
+from symdigits.network import (Layer, Mlp, TrainConfig, TrainingDiverged,
+                               backward, cross_entropy_loss, forward, grad_check,
+                               init_mlp, predict, softmax, total_loss, train)
 
 from conftest import random_images
 
@@ -187,9 +186,9 @@ def test_grad_check_step_range():
 
 
 def toy_feature_set(n=64, seed=0):
+    """(features, labels) of n random 64-feature samples."""
     rng = np.random.default_rng(seed)
-    return FeatureDataset(rng.uniform(-1, 1, size=(n, 64)),
-                          rng.integers(0, 10, size=n))
+    return rng.uniform(-1, 1, size=(n, 64)), rng.integers(0, 10, size=n)
 
 
 def test_config_validation():
@@ -201,13 +200,11 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(momentum=1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(init_scale_rule="xavier")
 
 
 def test_zero_learning_rate_is_noop():
     data = toy_feature_set()
-    result = train(TrainConfig(seed=9, epochs=1, learning_rate=0.0), data)
+    result = train(TrainConfig(seed=9, epochs=1, learning_rate=0.0), *data)
     reference = init_mlp((64, 10, 5, 10), False, 9)
     for got, want in zip(result.mlp.layers, reference.layers):
         assert np.array_equal(got.weights, want.weights)
@@ -216,8 +213,8 @@ def test_zero_learning_rate_is_noop():
 def test_training_is_bit_deterministic():
     data = toy_feature_set()
     config = TrainConfig(seed=11, epochs=5)
-    a = train(config, data)
-    b = train(config, data)
+    a = train(config, *data)
+    b = train(config, *data)
     for la, lb in zip(a.mlp.layers, b.mlp.layers):
         assert np.array_equal(la.weights, lb.weights)
     assert a.epoch_losses == b.epoch_losses
@@ -225,31 +222,59 @@ def test_training_is_bit_deterministic():
 
 def test_batch_size_cannot_exceed_dataset():
     with pytest.raises(ValueError):
-        train(TrainConfig(batch_size=65), toy_feature_set(n=10))
+        train(TrainConfig(batch_size=65), *toy_feature_set(n=10))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_divergence_aborts_naming_epoch():
-    data = toy_feature_set(n=8)
-    data.features[0, 0] = np.inf
+    features, labels = toy_feature_set(n=8)
+    features[0, 0] = np.inf
     with pytest.raises(TrainingDiverged, match="epoch 1"):
-        train(TrainConfig(epochs=2, batch_size=8), data)
+        train(TrainConfig(epochs=2, batch_size=8), features, labels)
+
+
+def test_label_outside_range_is_a_value_error():
+    features, labels = toy_feature_set(n=8)
+    labels[3] = 10
+    with pytest.raises(ValueError, match="label outside 0..9"):
+        train(TrainConfig(epochs=1, batch_size=8), features, labels)
+
+
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_full_batch_epoch_steps_along_backward(use_bias):
+    # the gradient that trains is bit-for-bit the one grad_check verifies
+    features, labels = toy_feature_set(n=48, seed=3)
+    eta = 0.05
+    config = TrainConfig(seed=4, epochs=1, batch_size=len(labels), learning_rate=eta,
+                         momentum=0.0, use_bias=use_bias)
+    result = train(config, features, labels)
+    rng = np.random.default_rng(4)  # drawn in train's order: init, then one shuffle
+    init = init_mlp((64, 10, 5, 10), use_bias, rng)
+    order = rng.permutation(len(labels))
+    grads = backward(init, features[order], labels[order])
+    for got, start, grad in zip(result.mlp.layers, init.layers, grads):
+        assert np.array_equal(got.weights, start.weights - eta * grad.weights)
+        if use_bias:
+            assert np.array_equal(got.bias, start.bias - eta * grad.bias)
+        else:
+            assert got.bias is None and grad.bias is None
+    assert result.epoch_losses == [total_loss(init, features[order], labels[order])
+                                   / len(labels)]
 
 
 def test_no_bias_mode_keeps_bias_absent_through_training():
-    result = train(TrainConfig(seed=0, epochs=2, use_bias=False), toy_feature_set())
+    result = train(TrainConfig(seed=0, epochs=2, use_bias=False), *toy_feature_set())
     assert all(layer.bias is None for layer in result.mlp.layers)
 
 
 def test_bias_mode_trains_biases():
-    result = train(TrainConfig(seed=0, epochs=3, use_bias=True), toy_feature_set())
+    result = train(TrainConfig(seed=0, epochs=3, use_bias=True), *toy_feature_set())
     assert any(np.any(layer.bias != 0.0) for layer in result.mlp.layers)
 
 
 def test_short_training_learns_something(small_splits, quick_config):
     train_ds, test_ds = small_splits
-    feature_set = FeatureDataset(train_ds.pixels, train_ds.labels)
-    result = train(quick_config, feature_set)
+    result = train(quick_config, train_ds.pixels, train_ds.labels)
     preds = predict(result.mlp, test_ds.pixels)
     assert (preds == test_ds.labels).mean() > 0.5
     assert result.epoch_losses[-1] < result.epoch_losses[0]
