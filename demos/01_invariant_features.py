@@ -12,8 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from symdigits import (NeighborProduct, PermutationProduct, Square,
-                       apply_feature_map, load_bundled_dataset, relative_sign,
-                       render_image)
+                       load_bundled_dataset, relative_sign, render_image)
 
 out = Path("demo_output/features")
 out.mkdir(parents=True, exist_ok=True)
@@ -30,21 +29,21 @@ image = ds[idx]
 print(f"sample {idx}: a handwritten {image.label}")
 
 for kind in (Square(), NeighborProduct(), PermutationProduct(seed=0)):
-    chi = apply_feature_map(kind, image.pixels)
-    chi_inverted = apply_feature_map(kind, -image.pixels)
+    chi = kind.apply(image.pixels)
+    chi_inverted = kind.apply(-image.pixels)
     print(f"  {kind.name:9s} features of x and -x identical: "
           f"{np.array_equal(chi, chi_inverted)}")
 
 # the square map erases every sign: on a pure black/white image it is blind
 binary = np.where(ds.pixels[0] >= 0, 1.0, -1.0)
 print("square features of a pure black/white image:",
-      set(apply_feature_map(Square(), binary).tolist()), "(all information gone)")
+      set(Square().apply(binary).tolist()), "(all information gone)")
 
 # neighbor products keep the signs: within each row, chaining the feature
 # signs recovers the relative sign of any two pixels of that row
 x = ds.pixels[idx].copy()
 x[x == 0.0] = 1.0 / 8.0  # relative signs need nonzero pixels
-chi_signs = np.sign(apply_feature_map(NeighborProduct(), x)).reshape(8, 8)
+chi_signs = np.sign(NeighborProduct().apply(x)).reshape(8, 8)
 row, c1, c2 = 4, 1, 6
 chained = np.prod(chi_signs[row, c1:c2])
 direct = relative_sign(x, 8 * row + c1, 8 * row + c2)
@@ -54,7 +53,7 @@ print(f"relative sign of pixels ({row},{c1}) and ({row},{c2}): "
 # the triptych: original, inverted, and the gradient-like feature image
 render_image(image.pixels, out / "original.pgm")
 render_image(-image.pixels, out / "inverted.pgm")
-render_image(apply_feature_map(NeighborProduct(), image.pixels), out / "features.pgm")
+render_image(NeighborProduct().apply(image.pixels), out / "features.pgm")
 print(f"triptych written to {out}/ (original, inverted, features)")
 print("the feature image is +1 (white) inside uniform regions and -1 (black)")
 print("on color boundaries, like an edge detector wrapped on a cylinder")

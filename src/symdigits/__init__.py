@@ -7,7 +7,7 @@ from .digits import (Dataset, GrayImage, augment_shifts, invert_dataset,
                      render_image, scale_to_unit, split, symmetrize)
 from .features import (Identity, Inversion, NeighborProduct, PermutationProduct,
                        PixelPermutation, Rotation90, Shift, Square,
-                       apply_feature_map, apply_group, feature_map_from_name,
+                       apply_group, feature_map_from_name,
                        inversion_group, is_closed_group, make_permutation,
                        relative_sign, rotation_group)
 from .network import (Layer, Mlp, TrainConfig, TrainResult, TrainingDiverged,

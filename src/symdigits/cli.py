@@ -4,8 +4,12 @@ and symmetry probes, all with deterministic file outputs.
 Exit status: 0 = success and every asserted invariant passed; 1 = usage or
 configuration error; 2 = an invariant or acceptance band failed, or training
 diverged.
-Every command writes a manifest echoing the fully resolved configuration
-(timestamps live only there, so reruns are byte-identical elsewhere).
+
+``main`` runs every command the same way: it resolves the configuration,
+creates the output directory, runs the command, and writes a manifest
+echoing the fully resolved configuration (timestamps live only there, so
+reruns are byte-identical elsewhere), also when a check failed.  A command
+returns None when its checks pass, or the failure message when one fails.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from .digits import (Dataset, augment_shifts, bundled_data_path, dataset_stats,
                      render_image, split, symmetrize)
 from .experiments import (PAPER_VALUES, bound_check, evaluate, format_verdicts,
                           reproduce_tables)
-from .features import (Identity, NeighborProduct, apply_feature_map,
-                       feature_map_from_name, inversion_group)
+from .features import (Identity, NeighborProduct, feature_map_from_name,
+                       inversion_group)
 from .network import TrainConfig, TrainingDiverged, init_mlp, train
 from .persistence import load_model, save_model
 from .svg import bar_chart, line_chart
@@ -39,10 +43,6 @@ from .svg import bar_chart, line_chart
 
 class CliError(Exception):
     """Usage or configuration problem (exit status 1)."""
-
-
-class CheckFailed(Exception):
-    """An invariant or acceptance band failed (exit status 2)."""
 
 
 DEFAULTS = {
@@ -66,10 +66,9 @@ DEFAULTS = {
     "test_fraction": 0.25,
 }
 
-_BOOL_KEYS = {"bias", "invert"}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-_INT_KEYS = {"seed", "perm_seed", "epochs", "batch", "jobs", "n", "trials", "samples"}
-_FLOAT_KEYS = {"lr", "momentum", "mu", "test_fraction"}
+# config-file value parser by the type of the key's default; the rest are strings
+_PARSERS = {bool: lambda value: _BOOL_WORDS[value.lower()], int: int, float: float}
 
 
 def _parse_config_file(path) -> dict:
@@ -89,14 +88,7 @@ def _parse_config_file(path) -> dict:
         if key not in DEFAULTS:
             raise CliError(f"{path}: line {lineno}: unknown key {key!r}")
         try:
-            if key in _BOOL_KEYS:
-                values[key] = _BOOL_WORDS[value.lower()]
-            elif key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            else:
-                values[key] = value
+            values[key] = _PARSERS.get(type(DEFAULTS[key]), str)(value)
         except (KeyError, ValueError):
             raise CliError(f"{path}: line {lineno}: bad value for {key}") from None
     return values
@@ -123,22 +115,19 @@ def _out_dir(resolved) -> Path:
     return out
 
 
-def _write_manifest(out: Path, command: str, resolved: dict) -> None:
-    manifest = {
-        "command": command,
-        "config": {k: v for k, v in sorted(resolved.items())},
-        "version": __version__,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
-    with open(out / "manifest.json", "w", encoding="ascii") as f:
-        json.dump(manifest, f, indent=1)
-        f.write("\n")
-
-
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="ascii") as f:
         json.dump(payload, f, indent=1)
         f.write("\n")
+
+
+def _write_manifest(out: Path, command: str, resolved: dict) -> None:
+    _write_json(out / "manifest.json", {
+        "command": command,
+        "config": dict(sorted(resolved.items())),
+        "version": __version__,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+    })
 
 
 def _data_path(resolved) -> str:
@@ -166,10 +155,8 @@ def _train_config(resolved, use_bias) -> TrainConfig:
 # ---------------------------------------------------------------------------
 
 
-def cmd_data(args) -> int:
-    resolved = _resolve(args)
-    out = _out_dir(resolved)
-    if args.action == "fetch":
+def cmd_data(args, resolved, out):
+    if args.what == "fetch":
         target = out / "optdigits.csv"
         try:
             from sklearn.datasets import load_digits
@@ -184,18 +171,16 @@ def cmd_data(args) -> int:
             for row, label in zip(raw, bunch.target):
                 f.write(",".join(str(v) for v in [*row.tolist(), int(label)]) + "\n")
         print(f"wrote {len(raw)} images to {target}")
-    elif args.action == "convert":
+    elif args.what == "convert":
         ds = load_dataset(_data_path(resolved))
         target = out / "optdigits.csv"
         shutil.copyfile(_data_path(resolved), target)
         print(f"validated {len(ds)} images, {len(np.unique(ds.labels))} classes -> {target}")
-    elif args.action == "stats":
+    elif args.what == "stats":
         ds = load_dataset(_data_path(resolved))
         stats = dataset_stats(ds)
         _write_json(out / "stats.json", stats)
         print(f"{ds.name}: {len(ds)} images, class counts {stats['class_counts']}")
-    _write_manifest(out, f"data {args.action}", resolved)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +188,7 @@ def cmd_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_train(args) -> int:
-    resolved = _resolve(args)
-    out = _out_dir(resolved)
+def cmd_train(args, resolved, out):
     feature_map = _feature_map(resolved)
     config = _train_config(resolved, resolved["bias"])
     train_ds, test_ds = _load_splits(resolved)
@@ -219,14 +202,10 @@ def cmd_train(args) -> int:
                       model_id=f"train-seed{config.seed}",
                       train_set_name=train_ds.name, n_train=len(train_ds))
     _write_json(out / "train_report.json", report.to_dict())
-    _write_manifest(out, "train", resolved)
     print(f"model -> {out / 'model.json'}  R={report.R:.4f}  Rbar={report.R_bar:.4f}")
-    return 0
 
 
-def cmd_eval(args) -> int:
-    resolved = _resolve(args)
-    out = _out_dir(resolved)
+def cmd_eval(args, resolved, out):
     if not args.model:
         raise CliError("eval requires --model")
     try:
@@ -243,9 +222,7 @@ def cmd_eval(args) -> int:
                       model_id=Path(args.model).stem,
                       train_set_name="(loaded model)", n_train=0)
     _write_json(out / "eval_report.json", report.to_dict())
-    _write_manifest(out, "eval", resolved)
     print(f"R={report.R:.4f}  Rbar={report.R_bar:.4f}  sum={report.bound_sum:.4f}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -269,36 +246,29 @@ def _figure1_index(ds: Dataset, label: int = 6) -> int:
     raise CliError(f"no sample with label {label} in the dataset")
 
 
-def cmd_reproduce(args) -> int:
-    resolved = _resolve(args)
-    out = _out_dir(resolved)
+def cmd_reproduce(args, resolved, out):
     if args.what == "figure1":
         ds = load_dataset(_data_path(resolved))
         idx = _figure1_index(ds)
         image = ds[idx]
         inverted = -image.pixels
-        features = apply_feature_map(NeighborProduct(), image.pixels)
         render_image(image.pixels, out / "figure1_original.pgm")
         render_image(inverted, out / "figure1_inverted.pgm")
-        render_image(features, out / "figure1_features.pgm")
+        render_image(NeighborProduct().apply(image.pixels), out / "figure1_features.pgm")
         complement_exact = bool(np.all(
             pixels_to_gray_levels(image.pixels) + pixels_to_gray_levels(inverted) == 255))
         _write_json(out / "figure1.json", {
             "sample_index": idx, "label": int(image.label),
             "inverted_is_255_complement": complement_exact,
         })
-        _write_manifest(out, "reproduce figure1", resolved)
         print(f"triptych for sample {idx} (label {image.label}) -> {out}")
-        if not complement_exact:
-            raise CheckFailed("inverted rendering is not the exact 255-complement")
-        return 0
+        return None if complement_exact else "inverted rendering is not the exact 255-complement"
 
     seeds = [int(s) for s in str(resolved["seeds"]).split(",") if s.strip() != ""]
     ds = load_dataset(_data_path(resolved))
     augmented = augment_shifts(ds)
     config = _train_config(resolved, use_bias=False)
-    tables = (args.what,) if args.what in ("table1", "table2") else ("table1", "table2")
-    report = reproduce_tables(augmented, seeds, config=config, tables=tables,
+    report = reproduce_tables(augmented, seeds, config=config, tables=(args.what,),
                               test_fraction=resolved["test_fraction"],
                               jobs=resolved["jobs"])
     report.write_csv(out / "results.csv")
@@ -314,7 +284,7 @@ def cmd_reproduce(args) -> int:
     # the no-bias cells must also pass the full bound check (per-sample
     # argmin included); retraining reproduces the table models bit-exactly
     bound_failures = []
-    if "table1" in tables:
+    if args.what == "table1":
         for seed in seeds:
             train_ds, test_ds = split(augmented, test_fraction=resolved["test_fraction"],
                                       seed=seed)
@@ -322,117 +292,116 @@ def cmd_reproduce(args) -> int:
                            train_ds.labels)
             verdict = bound_check(result.mlp, Identity(), test_ds)
             if not verdict.holds or verdict.n_argmin_violations:
-                bound_failures.append((seed, verdict.to_dict()))
+                bound_failures.append(seed)
 
     summary = format_verdicts(report.verdicts)
     (out / "bands.txt").write_text(summary, encoding="ascii")
     print(summary, end="")
-    _write_manifest(out, f"reproduce {args.what}", resolved)
     if bound_failures:
-        raise CheckFailed(f"bound violated for seeds {[s for s, _ in bound_failures]}")
+        return f"bound violated for seeds {bound_failures}"
     if not report.all_bands_pass():
-        raise CheckFailed("one or more table cells fell outside their acceptance band")
-    return 0
+        return "one or more table cells fell outside their acceptance band"
+    return None
 
 
 # ---------------------------------------------------------------------------
-# probes
+# probes: each returns (payload, summary line, failure message); cmd_probe
+# writes the payload, prints the summary and returns the failure unless the
+# payload passed
 # ---------------------------------------------------------------------------
 
 
-def cmd_probe(args) -> int:
-    resolved = _resolve(args)
-    out = _out_dir(resolved)
-    probe = args.which
-
-    if probe == "weight-flip":
-        ds = load_dataset(_data_path(resolved))
-        subset = symmetrize(augment_shifts(ds))
-        if args.model:
-            mlp, feature_map = load_model(args.model)
-            if mlp.use_bias or not isinstance(feature_map, Identity):
-                raise CliError("weight-flip probe needs a bias-free identity-feature model")
-        else:
-            mlp = init_mlp((64, 10, 5, 10), use_bias=False, seed_or_rng=resolved["seed"])
-        deviation = weight_orbit_invariance(mlp, subset)
-        witness = weight_flip_deviation(mlp, augment_shifts(ds))
-        payload = {
-            "deviation_symmetrized": deviation, "tolerance": 1e-9,
-            "deviation_unsymmetrized_witness": witness,
-            "passed": deviation <= 1e-9,
-        }
-        _write_json(out / "probe_weight_flip.json", payload)
-        _write_manifest(out, "probe weight-flip", resolved)
-        print(f"weight-flip deviation {deviation:.3e} (tolerance 1e-9); "
-              f"unsymmetrized witness {witness:.3e}")
-        if not payload["passed"]:
-            raise CheckFailed(f"weight-flip deviation {deviation:.3e} > 1e-9")
-        return 0
-
-    if probe == "orbit":
-        task = make_toy_task(resolved["n"], seed=resolved["seed"])
-        w_star = train_toy(task)
-        scan = orbit_loss_scan(task, w_star)
-        with open(out / "orbit_profile.csv", "w", newline="", encoding="ascii") as f:
-            writer = csv.writer(f)
-            writer.writerow(["theta", "omega"])
-            writer.writerows(scan.to_rows())
-        line_chart(out / "orbit_valley.svg", scan.angles.tolist(), scan.losses.tolist(),
-                   title=f"loss along the weight orbit (n={task.n})",
-                   x_label="orbit angle", y_label="symmetrized loss")
-        payload = {"n": task.n, "relative_spread": scan.relative_spread,
-                   "tolerance": 1e-9, "passed": scan.relative_spread <= 1e-9}
-        _write_json(out / "probe_orbit.json", payload)
-        _write_manifest(out, "probe orbit", resolved)
-        print(f"orbit spread {scan.relative_spread:.3e} over n={task.n} (tolerance 1e-9)")
-        if not payload["passed"]:
-            raise CheckFailed(f"orbit spread {scan.relative_spread:.3e} > 1e-9")
-        return 0
-
-    if probe == "goldstone":
-        sweep_ns = (4, 16, 64, resolved["n"]) if resolved["n"] > 64 else (4, 16, 64)
-        reports = generator_curvature_sweep(sweep_ns, seed=resolved["seed"])
-        curvatures = [r.generator_curvature for r in reports]
-        final = reports[-1]
-        monotone = all(a >= b for a, b in zip(curvatures, curvatures[1:]))
-        payload = {
-            "sweep": [r.to_dict() for r in reports],
-            "curvature_non_increasing": monotone,
-            "directional_derivative": final.directional_derivative,
-            "curvature_ratio": final.curvature_ratio,
-            "passed": monotone and abs(final.directional_derivative) <= 1e-8
-                      and final.curvature_ratio <= 0.01,
-        }
-        _write_json(out / "probe_goldstone.json", payload)
-        _write_manifest(out, "probe goldstone", resolved)
-        print("generator curvature by n: "
-              + ", ".join(f"{r.n}: {r.generator_curvature:.3e}" for r in reports))
-        if not payload["passed"]:
-            raise CheckFailed("goldstone probe failed its exact tolerances")
-        return 0
-
-    if probe == "sampled-loss":
-        ds = load_dataset(_data_path(resolved))
-        head = Dataset(ds.pixels[:resolved["samples"]], ds.labels[:resolved["samples"]],
-                       ds.origin_ids[:resolved["samples"]], name="subset")
+def _probe_weight_flip(args, resolved, out):
+    ds = load_dataset(_data_path(resolved))
+    subset = symmetrize(augment_shifts(ds))
+    if args.model:
+        mlp, feature_map = load_model(args.model)
+        if mlp.use_bias or not isinstance(feature_map, Identity):
+            raise CliError("weight-flip probe needs a bias-free identity-feature model")
+    else:
         mlp = init_mlp((64, 10, 5, 10), use_bias=False, seed_or_rng=resolved["seed"])
-        report = sampled_loss_expectation(mlp, head, inversion_group(),
-                                          mu=resolved["mu"], trials=resolved["trials"],
-                                          seed=resolved["seed"])
-        if resolved["mu"] == 1.0:
-            passed = report.trial_min == report.omega == report.trial_max
-        else:
-            passed = abs(report.ratio - 1.0) <= 3.0 * report.ratio_std_error
-        payload = {**report.to_dict(), "passed": bool(passed)}
-        _write_json(out / "probe_sampled_loss.json", payload)
-        _write_manifest(out, "probe sampled-loss", resolved)
-        print(f"sampled-loss ratio {report.ratio:.6f} "
-              f"(+- {report.ratio_std_error:.6f}, mu={report.mu})")
-        if not passed:
-            raise CheckFailed("sampled-loss mean is outside three standard errors")
-        return 0
+    deviation = weight_orbit_invariance(mlp, subset)
+    witness = weight_flip_deviation(mlp, augment_shifts(ds))
+    payload = {
+        "deviation_symmetrized": deviation, "tolerance": 1e-9,
+        "deviation_unsymmetrized_witness": witness,
+        "passed": deviation <= 1e-9,
+    }
+    return (payload,
+            f"weight-flip deviation {deviation:.3e} (tolerance 1e-9); "
+            f"unsymmetrized witness {witness:.3e}",
+            f"weight-flip deviation {deviation:.3e} > 1e-9")
 
-    raise CliError(f"unknown probe {probe!r}")
+
+def _probe_orbit(args, resolved, out):
+    task = make_toy_task(resolved["n"], seed=resolved["seed"])
+    w_star = train_toy(task)
+    scan = orbit_loss_scan(task, w_star)
+    with open(out / "orbit_profile.csv", "w", newline="", encoding="ascii") as f:
+        writer = csv.writer(f)
+        writer.writerow(["theta", "omega"])
+        writer.writerows(scan.to_rows())
+    line_chart(out / "orbit_valley.svg", scan.angles.tolist(), scan.losses.tolist(),
+               title=f"loss along the weight orbit (n={task.n})",
+               x_label="orbit angle", y_label="symmetrized loss")
+    payload = {"n": task.n, "relative_spread": scan.relative_spread,
+               "tolerance": 1e-9, "passed": scan.relative_spread <= 1e-9}
+    return (payload,
+            f"orbit spread {scan.relative_spread:.3e} over n={task.n} (tolerance 1e-9)",
+            f"orbit spread {scan.relative_spread:.3e} > 1e-9")
+
+
+def _probe_goldstone(args, resolved, out):
+    sweep_ns = (4, 16, 64, resolved["n"]) if resolved["n"] > 64 else (4, 16, 64)
+    reports = generator_curvature_sweep(sweep_ns, seed=resolved["seed"])
+    curvatures = [r.generator_curvature for r in reports]
+    final = reports[-1]
+    monotone = all(a >= b for a, b in zip(curvatures, curvatures[1:]))
+    payload = {
+        "sweep": [r.to_dict() for r in reports],
+        "curvature_non_increasing": monotone,
+        "directional_derivative": final.directional_derivative,
+        "curvature_ratio": final.curvature_ratio,
+        "passed": monotone and abs(final.directional_derivative) <= 1e-8
+                  and final.curvature_ratio <= 0.01,
+    }
+    return (payload,
+            "generator curvature by n: "
+            + ", ".join(f"{r.n}: {r.generator_curvature:.3e}" for r in reports),
+            "goldstone probe failed its exact tolerances")
+
+
+def _probe_sampled_loss(args, resolved, out):
+    ds = load_dataset(_data_path(resolved))
+    head = Dataset(ds.pixels[:resolved["samples"]], ds.labels[:resolved["samples"]],
+                   ds.origin_ids[:resolved["samples"]], name="subset")
+    mlp = init_mlp((64, 10, 5, 10), use_bias=False, seed_or_rng=resolved["seed"])
+    report = sampled_loss_expectation(mlp, head, inversion_group(),
+                                      mu=resolved["mu"], trials=resolved["trials"],
+                                      seed=resolved["seed"])
+    if resolved["mu"] == 1.0:
+        passed = report.trial_min == report.omega == report.trial_max
+    else:
+        passed = abs(report.ratio - 1.0) <= 3.0 * report.ratio_std_error
+    return ({**report.to_dict(), "passed": bool(passed)},
+            f"sampled-loss ratio {report.ratio:.6f} "
+            f"(+- {report.ratio_std_error:.6f}, mu={report.mu})",
+            "sampled-loss mean is outside three standard errors")
+
+
+PROBES = {
+    "weight-flip": _probe_weight_flip,
+    "orbit": _probe_orbit,
+    "goldstone": _probe_goldstone,
+    "sampled-loss": _probe_sampled_loss,
+}
+
+
+def cmd_probe(args, resolved, out):
+    payload, summary, failure = PROBES[args.what](args, resolved, out)
+    _write_json(out / f"probe_{args.what.replace('-', '_')}.json", payload)
+    print(summary)
+    return None if payload["passed"] else failure
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("data", help="fetch/convert/inspect the digits corpus")
-    p.add_argument("action", choices=["fetch", "convert", "stats"])
+    p.add_argument("what", choices=["fetch", "convert", "stats"])
     _add_common(p)
     p.set_defaults(func=cmd_data)
 
@@ -502,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("probe", help="run a symmetry-degeneracy probe")
-    p.add_argument("which", choices=["weight-flip", "orbit", "goldstone", "sampled-loss"])
+    p.add_argument("what", choices=list(PROBES))
     _add_common(p)
     p.add_argument("--model", help="model JSON (weight-flip: default fresh random)")
     p.add_argument("--n", type=int, help="cyclic group order (default 360)")
@@ -518,16 +487,23 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        resolved = _resolve(args)
+        out = _out_dir(resolved)
+        failure = args.func(args, resolved, out)
+        command = f"{args.command} {args.what}" if hasattr(args, "what") else args.command
+        _write_manifest(out, command, resolved)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CheckFailed, TrainingDiverged) as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 2
+    except TrainingDiverged as exc:
+        failure = str(exc)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if failure is None:
+        return 0
+    print(f"check failed: {failure}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

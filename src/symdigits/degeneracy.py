@@ -15,7 +15,7 @@ flattens toward a continuous (Goldstone-like) flat direction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -93,9 +93,7 @@ class SampledLossReport:
     trial_max: float
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("mu", "trials", "omega", "expected", "empirical_mean",
-                 "ratio", "ratio_std_error", "trial_min", "trial_max")}
+        return asdict(self)
 
 
 def sampled_loss_expectation(mlp: Mlp, ds: Dataset, group: list[GroupElement],
@@ -359,11 +357,7 @@ class CurvatureReport:
     smallest_hessian_eigenvalue: float
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "n", "loss", "gradient_norm", "directional_derivative",
-            "generator_curvature", "generator_curvature_raw",
-            "curvature_resolution", "radial_curvature", "curvature_ratio",
-            "smallest_hessian_eigenvalue")}
+        return asdict(self)
 
 
 def generator_curvature(task: ToyRotationTask, w_star, step: float = 1e-4,

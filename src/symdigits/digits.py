@@ -42,9 +42,6 @@ class GrayImage:
             raise ValueError(f"label must be in 0..9, got {self.label}")
         object.__setattr__(self, "pixels", pixels)
 
-    def grid(self) -> np.ndarray:
-        return self.pixels.reshape(GRID, GRID)
-
 
 class Dataset:
     """An ordered collection of GrayImages, stored as arrays.
@@ -73,14 +70,6 @@ class Dataset:
 
     def derive(self, pixels, labels, origin_ids, name, step) -> "Dataset":
         return Dataset(pixels, labels, origin_ids, name=name, lineage=self.lineage + [step])
-
-    def manifest(self) -> dict:
-        return {
-            "name": self.name,
-            "size": len(self),
-            "n_origins": int(len(np.unique(self.origin_ids))),
-            "lineage": list(self.lineage),
-        }
 
 
 def scale_to_unit(raw):

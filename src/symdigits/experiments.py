@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,17 +48,6 @@ class BoundCheckReport:
     n_samples: int
     n_unique_min: int
     n_argmin_violations: int
-
-    def to_dict(self) -> dict:
-        return {
-            "R": self.R,
-            "R_bar": self.R_bar,
-            "bound_sum": self.bound_sum,
-            "holds": self.holds,
-            "n_samples": self.n_samples,
-            "n_unique_min": self.n_unique_min,
-            "n_argmin_violations": self.n_argmin_violations,
-        }
 
 
 def bound_check(mlp: Mlp, feature_map: FeatureMapKind, test: Dataset) -> BoundCheckReport:
@@ -284,9 +274,12 @@ def reproduce_tables(augmented: Dataset, seeds, config: TrainConfig | None = Non
             for idx, row in enumerate(table2_rows(seed, config)):
                 jobs_list.append(("table2", seed, idx, row, train_ds, test_ds))
 
-    if jobs > 1:
+    # never more worker processes than CPUs or cells: a pool forks all of
+    # its workers at the first submit
+    workers = min(jobs, os.cpu_count() or 1, len(jobs_list))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(pool.map(_run_cell_job, jobs_list))
     else:
         results = dict(map(_run_cell_job, jobs_list))

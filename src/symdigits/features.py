@@ -238,11 +238,6 @@ class PermutationProduct:
 FeatureMapKind = Union[Identity, Square, NeighborProduct, PermutationProduct]
 
 
-def apply_feature_map(kind: FeatureMapKind, image) -> np.ndarray:
-    """Map a GrayImage or pixel array to its 64 features."""
-    return kind.apply(_as_pixels(image))
-
-
 def feature_map_from_name(name: str, perm_seed: int = 0) -> FeatureMapKind:
     table = {
         "identity": Identity(),

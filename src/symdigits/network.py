@@ -225,6 +225,7 @@ class TrainResult:
     epoch_losses: list[float]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence raises TrainingDiverged
 def train(config: TrainConfig, features, labels,
           hidden_dims=PAPER_HIDDEN_DIMS, n_classes: int = N_CLASSES) -> TrainResult:
     """Mini-batch SGD with momentum; bit-deterministic per (seed, data order).

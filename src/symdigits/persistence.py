@@ -11,8 +11,7 @@ import json
 
 import numpy as np
 
-from .features import (FeatureMapKind, Identity, NeighborProduct,
-                       PermutationProduct, Square, make_permutation)
+from .features import FeatureMapKind, PermutationProduct, feature_map_from_name
 from .network import Layer, Mlp
 
 FORMAT = "symdigits-model-v1"
@@ -31,19 +30,11 @@ def feature_map_to_dict(kind: FeatureMapKind) -> dict:
 
 def feature_map_from_dict(d: dict) -> FeatureMapKind:
     kind = d.get("kind")
-    if kind == "identity":
-        return Identity()
-    if kind == "square":
-        return Square()
-    if kind == "neighbor":
-        return NeighborProduct()
-    if kind == "perm":
-        fm = PermutationProduct(int(d["seed"]))
-        stored = np.asarray(d["permutation"], dtype=np.int64)
-        if not np.array_equal(stored, make_permutation(fm.seed)):
-            raise ValueError("stored permutation does not match its seed")
-        return fm
-    raise ValueError(f"unknown feature map kind {kind!r}")
+    fm = feature_map_from_name(str(kind), int(d["seed"]) if kind == "perm" else 0)
+    if isinstance(fm, PermutationProduct) and not np.array_equal(
+            np.asarray(d["permutation"], dtype=np.int64), fm.perm):
+        raise ValueError("stored permutation does not match its seed")
+    return fm
 
 
 def model_to_dict(mlp: Mlp, feature_map: FeatureMapKind) -> dict:

@@ -257,7 +257,7 @@ def test_criterion_6_sampled_loss(corpus):
 def test_criterion_7_pipeline_integrity(tmp_path, corpus, augmented, trained_nobias):
     from symdigits.cli import _figure1_index
     from symdigits.digits import pixels_to_gray_levels, read_pgm, render_image
-    from symdigits.features import NeighborProduct, apply_feature_map
+    from symdigits.features import NeighborProduct
 
     counts_ok = len(corpus) == 1797 and len(augmented) == 8985
 
@@ -275,7 +275,7 @@ def test_criterion_7_pipeline_integrity(tmp_path, corpus, augmented, trained_nob
     image = corpus[idx]
     render_image(image.pixels, tmp_path / "original.pgm")
     render_image(-image.pixels, tmp_path / "inverted.pgm")
-    render_image(apply_feature_map(NeighborProduct(), image.pixels),
+    render_image(NeighborProduct().apply(image.pixels),
                  tmp_path / "features.pgm")
     original = read_pgm(tmp_path / "original.pgm")
     inverted = read_pgm(tmp_path / "inverted.pgm")

@@ -1,11 +1,15 @@
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from symdigits.cli import main
 from symdigits.digits import bundled_data_path, read_pgm
+from symdigits.features import Identity
+from symdigits.network import init_mlp
+from symdigits.persistence import save_model
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +23,10 @@ def small_csv(tmp_path_factory):
 
 def run(*argv):
     return main(list(argv))
+
+
+def manifest(out):
+    return json.loads((out / "manifest.json").read_text())
 
 
 def test_data_stats(tmp_path):
@@ -115,6 +123,9 @@ def test_reproduce_table_bands_fail_with_tiny_budget(tmp_path, small_csv):
     assert (out / "results.csv").exists()
     assert (out / "bands.txt").exists()
     assert (out / "accuracies.svg").exists()
+    written = manifest(out)  # a failed check still records what ran
+    assert written["command"] == "reproduce table1"
+    assert written["config"]["epochs"] == 1 and written["config"]["seeds"] == "0"
 
 
 def test_probe_weight_flip(tmp_path, small_csv):
@@ -149,6 +160,34 @@ def test_probe_sampled_loss_mu_one_exact(tmp_path, small_csv):
     assert payload["trial_min"] == payload["omega"] == payload["trial_max"]
 
 
+def test_failed_probe_writes_payload_and_manifest(tmp_path, small_csv, capsys):
+    out = tmp_path / "sl"
+    assert run("probe", "sampled-loss", "--data", small_csv, "--trials", "1",
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("check failed: sampled-loss mean")
+    payload = json.loads((out / "probe_sampled_loss.json").read_text())
+    assert payload["passed"] is False and payload["trials"] == 1
+    assert manifest(out)["command"] == "probe sampled-loss"
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("data stats", []),
+    ("train", ["--epochs", "1"]),
+    ("eval", ["--model", "MODEL"]),
+    ("reproduce figure1", []),
+    ("probe orbit", ["--n", "8"]),
+], ids=["data-stats", "train", "eval", "reproduce-figure1", "probe-orbit"])
+def test_manifest_names_the_command(tmp_path, small_csv, command, extra):
+    model = tmp_path / "model.json"
+    save_model(model, init_mlp((64, 10, 5, 10), False, 0), Identity())
+    extra = [str(model) if arg == "MODEL" else arg for arg in extra]
+    out = tmp_path / "out"
+    assert run(*command.split(), *extra, "--data", small_csv, "--out", str(out)) == 0
+    written = manifest(out)
+    assert written["command"] == command
+    assert set(written) == {"command", "config", "version", "timestamp"}
+
+
 def test_config_file_and_flag_precedence(tmp_path, small_csv):
     config = tmp_path / "run.cfg"
     config.write_text("epochs=2\nseed=3\n# comment\nlr=0.01\n")
@@ -157,9 +196,9 @@ def test_config_file_and_flag_precedence(tmp_path, small_csv):
                "--epochs", "1", "--out", str(out)) == 0
     curve = (out / "training_curve.csv").read_text().splitlines()
     assert len(curve) == 2  # flag --epochs 1 beat the file's epochs=2
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["seed"] == 3  # file value beat the default
-    assert manifest["config"]["lr"] == 0.01
+    config = manifest(out)["config"]
+    assert config["seed"] == 3  # file value beat the default
+    assert config["lr"] == 0.01
 
 
 def test_bad_config_file_is_usage_error(tmp_path):
@@ -177,21 +216,24 @@ def test_config_booleans_are_strict(tmp_path, small_csv, capsys):
     out = tmp_path / "out"
     assert run("train", "--data", small_csv, "--config", str(config),
                "--out", str(out)) == 0
-    assert json.loads((out / "manifest.json").read_text())["config"]["bias"] is True
+    assert manifest(out)["config"]["bias"] is True
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverged_training_exits_two_naming_epoch(tmp_path, small_csv, capsys):
-    code = run("train", "--data", small_csv, "--epochs", "2", "--lr", "1e308",
-               "--momentum", "0.99", "--out", str(tmp_path / "out"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # divergence is reported once, as a check failure
+        code = run("train", "--data", small_csv, "--epochs", "2", "--lr", "1e308",
+                   "--momentum", "0.99", "--out", str(tmp_path / "out"))
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("check failed: ") and " in epoch 1" in err
     assert not (tmp_path / "out" / "model.json").exists()
 
 
-def test_usage_errors_exit_one():
-    assert run("eval") == 1                       # missing --model
+def test_usage_errors_exit_one(tmp_path):
+    out = tmp_path / "eval"
+    assert run("eval", "--out", str(out)) == 1    # missing --model
+    assert not (out / "manifest.json").exists()   # a usage error records no run
     assert run("train", "--features", "cubic") == 1
 
 

@@ -1,3 +1,6 @@
+import concurrent.futures
+import os
+
 import numpy as np
 import pytest
 
@@ -151,6 +154,38 @@ def test_reproduce_tables_single_seed_emits_14_rows(corpus):
 def test_reproduce_tables_rejects_bad_inputs(corpus, kwargs, match):
     with pytest.raises(ValueError, match=match):
         reproduce_tables(corpus, config=TrainConfig(epochs=1), **kwargs)
+
+
+@pytest.mark.parametrize("cpus, jobs, workers", [
+    (2, 5000, 2),      # capped at the CPU count
+    (64, 5000, 4),     # capped at the four table-1 cells
+    (None, 8, None),   # unknown CPU count: one process, no pool
+], ids=["cpus", "cells", "unknown-cpus"])
+def test_reproduce_tables_caps_worker_processes(monkeypatch, corpus, cpus, jobs, workers):
+    from symdigits.digits import augment_shifts
+    started = []
+
+    class InlinePool:  # records the pool size and runs the cells in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    head = Dataset(corpus.pixels[:100], corpus.labels[:100],
+                   corpus.origin_ids[:100], name="head")
+    kwargs = dict(seeds=[0], config=TrainConfig(epochs=1), tables=("table1",))
+    report = reproduce_tables(augment_shifts(head), jobs=jobs, **kwargs)
+    assert started == ([] if workers is None else [workers])
+    assert report.cells == reproduce_tables(augment_shifts(head), **kwargs).cells
 
 
 def test_reproduce_tables_csv_output(tmp_path, corpus):

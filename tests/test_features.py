@@ -4,7 +4,7 @@ import pytest
 from symdigits.digits import GrayImage
 from symdigits.features import (IDENTITY, Identity, Inversion, NeighborProduct,
                                 PermutationProduct, PixelPermutation, Rotation90,
-                                Shift, Square, apply_feature_map, apply_group,
+                                Shift, Square, apply_group,
                                 count_fixed_points, feature_map_from_name,
                                 inversion_group, is_closed_group,
                                 make_permutation, relative_sign, rotation_group)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,12 +226,13 @@ def test_batch_size_cannot_exceed_dataset():
         train(TrainConfig(batch_size=65), *toy_feature_set(n=10))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_divergence_aborts_naming_epoch():
     features, labels = toy_feature_set(n=8)
     features[0, 0] = np.inf
-    with pytest.raises(TrainingDiverged, match="epoch 1"):
-        train(TrainConfig(epochs=2, batch_size=8), features, labels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to the abort
+        with pytest.raises(TrainingDiverged, match="epoch 1"):
+            train(TrainConfig(epochs=2, batch_size=8), features, labels)
 
 
 def test_label_outside_range_is_a_value_error():

@@ -39,6 +39,18 @@ def test_permutation_seed_mismatch_is_a_load_error(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("feature_map", [{"kind": "cubic"}, {}],
+                         ids=["unknown-kind", "missing-kind"])
+def test_unknown_feature_map_is_a_load_error(tmp_path, feature_map):
+    path = tmp_path / "model.json"
+    save_model(path, init_mlp((64, 4, 10), False, 0), Identity())
+    doc = json.loads(path.read_text())
+    doc["feature_map"] = feature_map
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="unknown feature map"):
+        load_model(path)
+
+
 def test_tampered_dims_rejected(tmp_path):
     mlp = init_mlp((64, 4, 10), False, 0)
     path = tmp_path / "model.json"
