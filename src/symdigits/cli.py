@@ -312,16 +312,17 @@ def cmd_reproduce(args, resolved, out):
 
 
 def _probe_weight_flip(args, resolved, out):
-    ds = load_dataset(_data_path(resolved))
-    subset = symmetrize(augment_shifts(ds))
+    shifted = augment_shifts(load_dataset(_data_path(resolved)))
     if args.model:
         mlp, feature_map = load_model(args.model)
         if mlp.use_bias or not isinstance(feature_map, Identity):
             raise CliError("weight-flip probe needs a bias-free identity-feature model")
     else:
         mlp = init_mlp((64, 10, 5, 10), use_bias=False, seed_or_rng=resolved["seed"])
+    witness = weight_flip_deviation(mlp, shifted)
+    subset = symmetrize(shifted)
+    del shifted  # not held through the closure check, whose sorted copies set the peak memory
     deviation = weight_orbit_invariance(mlp, subset)
-    witness = weight_flip_deviation(mlp, augment_shifts(ds))
     payload = {
         "deviation_symmetrized": deviation, "tolerance": 1e-9,
         "deviation_unsymmetrized_witness": witness,

@@ -128,22 +128,32 @@ class ForwardResult:
     activations: list  # [input, hidden..., logits]
 
 
-def forward(mlp: Mlp, features) -> ForwardResult:
-    """Run the network on a single feature vector or a batch (..., fan_in)."""
-    h = np.asarray(features, dtype=np.float64)
+def _check_features(mlp: Mlp, h: np.ndarray) -> None:
     if h.shape[-1] != mlp.layers[0].fan_in:
         raise ValueError(
             f"feature dimension {h.shape[-1]} does not match network input "
             f"{mlp.layers[0].fan_in}")
-    activations = [h]
-    last = len(mlp.layers) - 1
-    for i, layer in enumerate(mlp.layers):
-        z = h @ layer.weights.T
+
+
+def _layer_outputs(layers: list[Layer], h: np.ndarray) -> list[np.ndarray]:
+    """[input, hidden..., logits] of the layer recurrence."""
+    outputs = [h]
+    last = len(layers) - 1
+    for i, layer in enumerate(layers):
+        z = np.dot(h, layer.weights.T)
         if layer.bias is not None:
             z = z + layer.bias
         h = z if i == last else np.tanh(z)
-        activations.append(h)
-    return ForwardResult(logits=h, activations=activations)
+        outputs.append(h)
+    return outputs
+
+
+def forward(mlp: Mlp, features) -> ForwardResult:
+    """Run the network on a feature vector (fan_in,) or a batch (n, fan_in)."""
+    h = np.asarray(features, dtype=np.float64)
+    _check_features(mlp, h)
+    activations = _layer_outputs(mlp.layers, h)
+    return ForwardResult(logits=activations[-1], activations=activations)
 
 
 def softmax(logits) -> np.ndarray:
@@ -184,28 +194,40 @@ def total_loss(mlp: Mlp, features, labels) -> float:
     return float(np.sum(sample_loss(mlp, features, labels)))
 
 
-def loss_and_gradients(mlp: Mlp, X: np.ndarray, y: np.ndarray) -> tuple[float, list[Layer]]:
+def loss_and_gradients(mlp: Mlp, X: np.ndarray, y: np.ndarray,
+                       grads: list[Layer] | None = None) -> tuple[float, list[Layer]]:
     """Summed cross-entropy over a batch and the gradient of its mean.
 
-    ``X`` is (n, fan_in) float64 and ``y`` holds n integer labels.  This is
-    the one backpropagation path: train steps along it and grad_check
-    checks it.  The gradient list has one Layer per network layer; bias
-    slots are None exactly where the network has no bias.
+    ``X`` is (n, fan_in) float64 and ``y`` holds n integer labels, which the
+    caller has checked to lie in 0..n_classes-1.  This is the one
+    backpropagation path: train steps along it and grad_check checks it.
+    The gradient list has one Layer per network layer; bias slots are None
+    exactly where the network has no bias.  ``grads``, when given, is such
+    a list with C-contiguous arrays, and the gradients are written into it.
+    Softmax and the loss are the operations of ``softmax`` and
+    ``cross_entropy_loss``, inline and without their label check.
     """
-    result = forward(mlp, X)
-    probs = softmax(result.logits)
-    loss = float(np.sum(cross_entropy_loss(probs, y)))
+    activations = _layer_outputs(mlp.layers, X)
+    logits = activations[-1]
+    if not np.isfinite(logits).all():
+        raise ValueError("softmax requires finite logits")
     n = len(y)
-    delta = probs
-    delta[np.arange(n), y] -= 1.0
+    rows = np.arange(n)
+    delta = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(delta, out=delta)
+    delta /= delta.sum(axis=-1, keepdims=True)  # the softmax probabilities
+    loss = float(np.sum(-np.log(np.maximum(delta[rows, y], 1e-15))))
+    delta[rows, y] -= 1.0
     delta /= n
-    grads: list[Layer | None] = [None] * len(mlp.layers)
+    if grads is None:
+        grads = _flatten(mlp.layers)[1]  # every entry is overwritten below
     for i in range(len(mlp.layers) - 1, -1, -1):
-        a_prev = result.activations[i]
-        g_b = delta.sum(axis=0) if mlp.layers[i].bias is not None else None
-        grads[i] = Layer(delta.T @ a_prev, g_b)
+        a_prev = activations[i]
+        np.dot(delta.T, a_prev, out=grads[i].weights)
+        if grads[i].bias is not None:
+            np.sum(delta, axis=0, out=grads[i].bias)
         if i > 0:
-            delta = (delta @ mlp.layers[i].weights) * (1.0 - a_prev * a_prev)
+            delta = np.dot(delta, mlp.layers[i].weights) * (1.0 - a_prev * a_prev)
     return loss, grads
 
 
@@ -216,7 +238,28 @@ def backward(mlp: Mlp, features, label) -> list[Layer]:
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     y = np.atleast_1d(np.asarray(label, dtype=np.int64))
+    _check_features(mlp, x)
+    n_classes = mlp.layers[-1].fan_out
+    if np.any(y < 0) or np.any(y >= n_classes):
+        raise ValueError(f"label outside 0..{n_classes - 1}")
     return loss_and_gradients(mlp, x, y)[1]
+
+
+def _flatten(layers: list[Layer]) -> tuple[np.ndarray, list[Layer]]:
+    """A flat copy of the arrays of ``layers`` (each layer's weights, then
+    its bias when it has one) and Layers whose arrays are views into it."""
+    buffer = np.concatenate([a.ravel() for l in layers for a in (l.weights, l.bias)
+                             if a is not None])
+    views, at = [], 0
+    for layer in layers:
+        weights = buffer[at:at + layer.weights.size].reshape(layer.weights.shape)
+        at += layer.weights.size
+        bias = None
+        if layer.bias is not None:
+            bias = buffer[at:at + layer.fan_out]
+            at += layer.fan_out
+        views.append(Layer(weights, bias))
+    return buffer, views
 
 
 @dataclass
@@ -235,6 +278,11 @@ def train(config: TrainConfig, features, labels,
     parameter init and the per-epoch reshuffles.  Aborts with
     TrainingDiverged (naming the epoch) once the logits or the weights stop
     being finite.
+
+    The parameters, their velocities and their gradients each live in one
+    flat buffer that the per-layer arrays view, so one momentum update
+    covers every layer; element by element it is the per-layer update
+    v = momentum*v - lr*g, W = W + v.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -248,9 +296,11 @@ def train(config: TrainConfig, features, labels,
     if y.min() < 0 or y.max() >= n_classes:
         raise ValueError(f"label outside 0..{n_classes - 1}")
     rng = np.random.default_rng(config.seed)
-    mlp = init_mlp((X.shape[1], *hidden_dims, n_classes), config.use_bias, rng)
-    vel = [Layer(np.zeros_like(l.weights), None if l.bias is None else np.zeros_like(l.bias))
-           for l in mlp.layers]
+    init = init_mlp((X.shape[1], *hidden_dims, n_classes), config.use_bias, rng)
+    params, layers = _flatten(init.layers)
+    mlp = Mlp(layers)
+    vel = np.zeros_like(params)
+    grad, grads = _flatten(init.layers)  # every step overwrites every entry
     epoch_losses = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
@@ -258,22 +308,21 @@ def train(config: TrainConfig, features, labels,
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             try:
-                batch_loss, grads = loss_and_gradients(mlp, X[idx], y[idx])
+                batch_loss, _ = loss_and_gradients(mlp, X[idx], y[idx], grads)
             except ValueError as exc:  # labels are checked above: the logits overflowed
                 raise TrainingDiverged(f"{exc} in epoch {epoch}") from None
             loss_sum += batch_loss
-            for layer, v, g in zip(mlp.layers, vel, grads):
-                v.weights = config.momentum * v.weights - config.learning_rate * g.weights
-                layer.weights = layer.weights + v.weights
-                if layer.bias is not None:
-                    v.bias = config.momentum * v.bias - config.learning_rate * g.bias
-                    layer.bias = layer.bias + v.bias
-            try:
-                mlp.check_finite()
-            except TrainingDiverged as exc:
-                raise TrainingDiverged(f"{exc} in epoch {epoch}") from None
+            vel *= config.momentum
+            grad *= config.learning_rate
+            vel -= grad
+            params += vel
+            if not np.isfinite(params).all():
+                try:
+                    mlp.check_finite()
+                except TrainingDiverged as exc:
+                    raise TrainingDiverged(f"{exc} in epoch {epoch}") from None
         epoch_losses.append(loss_sum / n)
-    return TrainResult(mlp=mlp, epoch_losses=epoch_losses)
+    return TrainResult(mlp=mlp.copy(), epoch_losses=epoch_losses)
 
 
 def grad_check(mlp: Mlp, sample, step: float = 1e-5, gradients=None) -> float:

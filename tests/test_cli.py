@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import symdigits
 from symdigits.cli import main
 from symdigits.digits import bundled_data_path, read_pgm
 from symdigits.features import Identity
@@ -75,6 +79,22 @@ def test_train_then_eval_round_trip(tmp_path, small_csv):
     eval_report = json.loads((eval_out / "eval_report.json").read_text())
     assert eval_report["R"] == train_report["R"]  # bit-exact persistence round trip
     assert eval_report["bound_holds"] is True
+
+
+def test_saved_model_does_not_depend_on_blas_thread_count(tmp_path):
+    # one interpreter per thread count: OpenBLAS reads it once, at start-up
+    src = str(Path(symdigits.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "symdigits.cli", "train", "--epochs", "2", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out / "model.json").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_eval_invert_flag_swaps_accuracies(tmp_path, small_csv):

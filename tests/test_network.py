@@ -235,11 +235,32 @@ def test_divergence_aborts_naming_epoch():
             train(TrainConfig(epochs=2, batch_size=8), features, labels)
 
 
+def test_weight_overflow_aborts_naming_layer_and_epoch():
+    # lr*g overflows in the first update while the logits are still finite:
+    # the input is one pixel, scaled so that the hidden unit weighting it
+    # least stays off the tanh plateau and its weight gradient grows large
+    w0 = init_mlp((64, 10, 5, 10), False, np.random.default_rng(0)).layers[0].weights
+    unit, pixel = np.unravel_index(np.argmin(np.abs(w0)), w0.shape)
+    features = np.zeros((1, 64))
+    features[0, pixel] = 1.0 / abs(w0[unit, pixel])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged, match="non-finite weights in layer .* in epoch 1"):
+            train(TrainConfig(seed=0, epochs=1, batch_size=1, learning_rate=1e308),
+                  features, np.array([0]))
+
+
 def test_label_outside_range_is_a_value_error():
     features, labels = toy_feature_set(n=8)
     labels[3] = 10
     with pytest.raises(ValueError, match="label outside 0..9"):
         train(TrainConfig(epochs=1, batch_size=8), features, labels)
+
+
+@pytest.mark.parametrize("label", [10, -1])
+def test_backward_rejects_label_outside_range(label):
+    with pytest.raises(ValueError, match="label outside 0..9"):
+        backward(small_net(), np.zeros(64), label)
 
 
 @pytest.mark.parametrize("use_bias", [False, True])
@@ -262,6 +283,49 @@ def test_full_batch_epoch_steps_along_backward(use_bias):
             assert got.bias is None and grad.bias is None
     assert result.epoch_losses == [total_loss(init, features[order], labels[order])
                                    / len(labels)]
+
+
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_minibatch_momentum_training_matches_per_layer_loop(use_bias):
+    # train's update, written layer by layer: the partial last batch and the
+    # velocity carried across steps and epochs come out bit for bit
+    features, labels = toy_feature_set(n=44, seed=5)
+    eta, momentum, batch = 0.05, 0.9, 8
+    config = TrainConfig(seed=6, epochs=3, batch_size=batch, learning_rate=eta,
+                         momentum=momentum, use_bias=use_bias)
+    result = train(config, features, labels)
+    rng = np.random.default_rng(6)  # drawn in train's order: init, then one shuffle per epoch
+    mlp = init_mlp((64, 10, 5, 10), use_bias, rng)
+    vel = [Layer(np.zeros_like(l.weights), None if l.bias is None else np.zeros_like(l.bias))
+           for l in mlp.layers]
+    epoch_losses = []
+    for _ in range(3):
+        order = rng.permutation(len(labels))
+        loss_sum = 0.0
+        for start in range(0, len(labels), batch):
+            idx = order[start:start + batch]
+            loss_sum += total_loss(mlp, features[idx], labels[idx])
+            grads = backward(mlp, features[idx], labels[idx])
+            for layer, v, g in zip(mlp.layers, vel, grads):
+                v.weights = momentum * v.weights - eta * g.weights
+                layer.weights = layer.weights + v.weights
+                if use_bias:
+                    v.bias = momentum * v.bias - eta * g.bias
+                    layer.bias = layer.bias + v.bias
+        epoch_losses.append(loss_sum / len(labels))
+    for got, want in zip(result.mlp.layers, mlp.layers):
+        assert np.array_equal(got.weights, want.weights)
+        if use_bias:
+            assert np.array_equal(got.bias, want.bias)
+        else:
+            assert got.bias is None
+    assert np.array_equal(result.epoch_losses, epoch_losses)
+
+
+def test_trained_network_owns_its_arrays():
+    result = train(TrainConfig(seed=0, epochs=1, use_bias=True), *toy_feature_set())
+    arrays = [a for l in result.mlp.layers for a in (l.weights, l.bias)]
+    assert all(a.flags.owndata for a in arrays)
 
 
 def test_no_bias_mode_keeps_bias_absent_through_training():
