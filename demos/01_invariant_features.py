@@ -25,12 +25,12 @@ print(f"corpus: {len(ds)} images of 8x8 pixels, scaled to [-1, 1]")
 # 127.5 gray midpoint, which cannot be split into integer levels)
 idx = next(i for i in range(len(ds))
            if ds.labels[i] == 6 and not np.any(ds.pixels[i] == 0.0))
-image = ds[idx]
-print(f"sample {idx}: a handwritten {image.label}")
+pixels, label = ds.pixels[idx], int(ds.labels[idx])
+print(f"sample {idx}: a handwritten {label}")
 
 for kind in (Square(), NeighborProduct(), PermutationProduct(seed=0)):
-    chi = kind.apply(image.pixels)
-    chi_inverted = kind.apply(-image.pixels)
+    chi = kind.apply(pixels)
+    chi_inverted = kind.apply(-pixels)
     print(f"  {kind.name:9s} features of x and -x identical: "
           f"{np.array_equal(chi, chi_inverted)}")
 
@@ -51,9 +51,9 @@ print(f"relative sign of pixels ({row},{c1}) and ({row},{c2}): "
       f"chained={chained:+.0f} direct={direct:+.0f}")
 
 # the triptych: original, inverted, and the gradient-like feature image
-render_image(image.pixels, out / "original.pgm")
-render_image(-image.pixels, out / "inverted.pgm")
-render_image(NeighborProduct().apply(image.pixels), out / "features.pgm")
+render_image(pixels, out / "original.pgm")
+render_image(-pixels, out / "inverted.pgm")
+render_image(NeighborProduct().apply(pixels), out / "features.pgm")
 print(f"triptych written to {out}/ (original, inverted, features)")
 print("the feature image is +1 (white) inside uniform regions and -1 (black)")
 print("on color boundaries, like an edge detector wrapped on a cylinder")

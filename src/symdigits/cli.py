@@ -208,10 +208,7 @@ def cmd_train(args, resolved, out):
 def cmd_eval(args, resolved, out):
     if not args.model:
         raise CliError("eval requires --model")
-    try:
-        mlp, feature_map = load_model(args.model)
-    except (OSError, ValueError, KeyError) as exc:
-        raise CliError(f"cannot load model {args.model}: {exc}") from None
+    mlp, feature_map = load_model(args.model)
     _, test_ds = _load_splits(resolved)
     if resolved["invert"]:
         test_ds = invert_dataset(test_ds)
@@ -250,18 +247,18 @@ def cmd_reproduce(args, resolved, out):
     if args.what == "figure1":
         ds = load_dataset(_data_path(resolved))
         idx = _figure1_index(ds)
-        image = ds[idx]
-        inverted = -image.pixels
-        render_image(image.pixels, out / "figure1_original.pgm")
+        pixels, label = ds.pixels[idx], int(ds.labels[idx])
+        inverted = -pixels
+        render_image(pixels, out / "figure1_original.pgm")
         render_image(inverted, out / "figure1_inverted.pgm")
-        render_image(NeighborProduct().apply(image.pixels), out / "figure1_features.pgm")
+        render_image(NeighborProduct().apply(pixels), out / "figure1_features.pgm")
         complement_exact = bool(np.all(
-            pixels_to_gray_levels(image.pixels) + pixels_to_gray_levels(inverted) == 255))
+            pixels_to_gray_levels(pixels) + pixels_to_gray_levels(inverted) == 255))
         _write_json(out / "figure1.json", {
-            "sample_index": idx, "label": int(image.label),
+            "sample_index": idx, "label": label,
             "inverted_is_255_complement": complement_exact,
         })
-        print(f"triptych for sample {idx} (label {image.label}) -> {out}")
+        print(f"triptych for sample {idx} (label {label}) -> {out}")
         return None if complement_exact else "inverted rendering is not the exact 255-complement"
 
     seeds = [int(s) for s in str(resolved["seeds"]).split(",") if s.strip() != ""]

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .digits import Dataset
-from .features import FeatureMapKind, GroupElement
+from .features import FeatureMapKind, PixelAction
 from .network import Mlp, total_loss, sample_loss
 
 MACHINE_EPS = float(np.finfo(np.float64).eps)
@@ -31,25 +31,28 @@ MACHINE_EPS = float(np.finfo(np.float64).eps)
 
 
 def dataset_is_inversion_closed(ds: Dataset) -> bool:
-    """True if the multiset of (pixels, label) pairs is closed under x -> -x."""
-    rows = np.column_stack([ds.pixels, ds.labels.astype(np.float64)])
-    inverted = np.column_stack([-ds.pixels, ds.labels.astype(np.float64)])
-    order_a = np.lexsort(rows.T)
-    order_b = np.lexsort(inverted.T)
-    return bool(np.array_equal(rows[order_a], inverted[order_b]))
+    """True if the multiset of (pixels, label) pairs is closed under x -> -x.
 
-
-def flip_first_layer(mlp: Mlp) -> Mlp:
-    """The inversion image of the parameters: W1 -> -W1, everything else kept."""
-    flipped = mlp.copy()
-    flipped.layers[0].weights = -flipped.layers[0].weights
-    return flipped
+    The rows are sorted once by label, then lexicographically by pixels.
+    Negation reverses a lexicographic order, so within one label the sorted
+    negated rows are the sorted rows negated and reversed: the set is
+    closed exactly when every label block equals its own reversed negation.
+    """
+    order = np.lexsort((*ds.pixels.T, ds.labels))
+    rows = ds.pixels[order]
+    ends = np.flatnonzero(np.diff(ds.labels[order])) + 1
+    return all(np.array_equal(block, -block[::-1]) for block in np.split(rows, ends))
 
 
 def weight_flip_deviation(mlp: Mlp, ds: Dataset) -> float:
-    """|Omega(W1) - Omega(-W1)| / Omega(W1) on raw pixels (no closure guard)."""
+    """|Omega(W1) - Omega(-W1)| / Omega(W1) on raw pixels (no closure guard).
+
+    -W1 is the inversion image of the parameters; every other layer is kept.
+    """
+    flipped = mlp.copy()
+    flipped.layers[0].weights = -flipped.layers[0].weights
     omega = total_loss(mlp, ds.pixels, ds.labels)
-    omega_flipped = total_loss(flip_first_layer(mlp), ds.pixels, ds.labels)
+    omega_flipped = total_loss(flipped, ds.pixels, ds.labels)
     return abs(omega - omega_flipped) / abs(omega)
 
 
@@ -96,7 +99,7 @@ class SampledLossReport:
         return asdict(self)
 
 
-def sampled_loss_expectation(mlp: Mlp, ds: Dataset, group: list[GroupElement],
+def sampled_loss_expectation(mlp: Mlp, ds: Dataset, group: list[PixelAction],
                              mu: float, trials: int, seed: int = 0) -> SampledLossReport:
     """Monte Carlo check that random sample inclusion restores symmetry in
     expectation.

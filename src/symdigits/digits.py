@@ -9,53 +9,35 @@ path.  Pixels are used scaled to [-1, 1] everywhere downstream.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass
 
 import numpy as np
 
-from .features import GRID, N_PIXELS, Inversion, Shift
+from .features import GRID, N_PIXELS, inversion, shift
+from .network import as_labels
 
 RAW_MAX = 16
 N_CLASSES = 10
 
 # order matters: original, right, left, down, up
-AUGMENT_SHIFTS = [Shift(0, 0), Shift(1, 0), Shift(-1, 0), Shift(0, 1), Shift(0, -1)]
-
-
-@dataclass(frozen=True)
-class GrayImage:
-    """One 8x8 image: 64 scaled pixels in [-1, 1], a digit label, and the
-    index of the source image it was derived from (augmented copies share
-    their origin_id)."""
-
-    pixels: np.ndarray
-    label: int
-    origin_id: int
-
-    def __post_init__(self):
-        pixels = np.asarray(self.pixels, dtype=np.float64)
-        if pixels.shape != (N_PIXELS,):
-            raise ValueError(f"expected {N_PIXELS} pixels, got shape {pixels.shape}")
-        if np.abs(pixels).max(initial=0.0) > 1.0:
-            raise ValueError("pixels must lie in [-1, 1]")
-        if not 0 <= self.label < N_CLASSES:
-            raise ValueError(f"label must be in 0..9, got {self.label}")
-        object.__setattr__(self, "pixels", pixels)
+AUGMENT_SHIFTS = [shift(0, 0), shift(1, 0), shift(-1, 0), shift(0, 1), shift(0, -1)]
 
 
 class Dataset:
-    """An ordered collection of GrayImages, stored as arrays.
+    """An ordered collection of 8x8 images, stored as arrays: one row of 64
+    scaled pixels in [-1, 1] per image, its digit label, and the index of
+    the source image it was derived from (augmented copies share their
+    origin_id).
 
     ``lineage`` records the derivations applied (for manifests/reports).
     """
 
     def __init__(self, pixels, labels, origin_ids, name="dataset", lineage=()):
         self.pixels = np.asarray(pixels, dtype=np.float64).reshape(-1, N_PIXELS)
-        self.labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+        self.labels = as_labels(labels).reshape(-1)
         self.origin_ids = np.asarray(origin_ids, dtype=np.int64).reshape(-1)
         if not (len(self.pixels) == len(self.labels) == len(self.origin_ids)):
             raise ValueError("pixels, labels and origin_ids must have equal length")
-        if np.abs(self.pixels).max(initial=0.0) > 1.0:
+        if not np.abs(self.pixels).max(initial=0.0) <= 1.0:  # NaN fails too
             raise ValueError("pixels must lie in [-1, 1]")
         if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) >= N_CLASSES:
             raise ValueError("labels must be in 0..9")
@@ -64,9 +46,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def __getitem__(self, i: int) -> GrayImage:
-        return GrayImage(self.pixels[i].copy(), int(self.labels[i]), int(self.origin_ids[i]))
 
     def derive(self, pixels, labels, origin_ids, name, step) -> "Dataset":
         return Dataset(pixels, labels, origin_ids, name=name, lineage=self.lineage + [step])
@@ -114,16 +93,12 @@ def load_optdigits(path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(raw_rows, dtype=np.int64), np.array(labels, dtype=np.int64)
 
 
-def dataset_from_raw(raw, labels, name="optdigits") -> Dataset:
-    """Scale raw pixels and assign origin_ids by file order."""
-    raw = np.asarray(raw, dtype=np.int64)
+def load_dataset(path, name="optdigits") -> Dataset:
+    """Read an optdigits CSV, scale its pixels and number the images in file
+    order (their origin_ids)."""
+    raw, labels = load_optdigits(path)
     return Dataset(scale_to_unit(raw), labels, np.arange(len(raw)), name=name,
                    lineage=[f"loaded {len(raw)} images, scaled to [-1,1]"])
-
-
-def load_dataset(path, name="optdigits") -> Dataset:
-    raw, labels = load_optdigits(path)
-    return dataset_from_raw(raw, labels, name=name)
 
 
 def bundled_data_path():
@@ -150,7 +125,7 @@ def augment_shifts(ds: Dataset) -> Dataset:
 
 def symmetrize(ds: Dataset) -> Dataset:
     """Append the grayscale-inverted copy of every image (same labels)."""
-    inv = Inversion().apply(ds.pixels)
+    inv = inversion().apply(ds.pixels)
     pixels = np.concatenate([ds.pixels, inv])
     labels = np.concatenate([ds.labels, ds.labels])
     origins = np.concatenate([ds.origin_ids, ds.origin_ids])
@@ -160,7 +135,7 @@ def symmetrize(ds: Dataset) -> Dataset:
 
 def invert_dataset(ds: Dataset) -> Dataset:
     """The inverted copy -X of a dataset (labels unchanged)."""
-    return ds.derive(Inversion().apply(ds.pixels), ds.labels, ds.origin_ids,
+    return ds.derive(inversion().apply(ds.pixels), ds.labels, ds.origin_ids,
                      name="-" + ds.name, step="inverted every image")
 
 
@@ -201,14 +176,14 @@ def pixels_to_gray_levels(pixels) -> np.ndarray:
     127.5 midpoint, which no integer scale can split symmetrically.
     """
     x = np.asarray(pixels, dtype=np.float64)
-    if np.abs(x).max(initial=0.0) > 1.0:
+    if not np.abs(x).max(initial=0.0) <= 1.0:
         raise ValueError("pixels must lie in [-1, 1]")
     return np.clip(np.rint(255.0 * (x + 1.0) / 2.0), 0, 255).astype(np.int64)
 
 
-def render_image(image, path) -> None:
-    """Write an 8x8 plain-text PGM (P2), [-1, 1] mapped linearly to 0..255."""
-    pixels = getattr(image, "pixels", image)
+def render_image(pixels, path) -> None:
+    """Write 64 pixels as an 8x8 plain-text PGM (P2), [-1, 1] mapped
+    linearly to 0..255."""
     levels = pixels_to_gray_levels(pixels).reshape(GRID, GRID)
     lines = ["P2", f"{GRID} {GRID}", "255"]
     lines += [" ".join(str(v) for v in row) for row in levels.tolist()]

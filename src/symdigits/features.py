@@ -3,39 +3,29 @@
 Grayscale inversion flips the sign of every pixel.  A feature map that is
 even in the pixels (products of pairs) is exactly invariant under that
 flip, which is what the Square, NeighborProduct and PermutationProduct
-maps provide.  Group elements also cover single-pixel shifts (used for
-data augmentation), pixel permutations, and quarter-turn rotations (used
-by the degeneracy probes).
+maps provide.  Every group element is one signed pixel map, PixelAction:
+inversion, the single-pixel shifts (used for data augmentation), pixel
+permutations, and quarter-turn rotations (used by the degeneracy probes).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Union
+from typing import Union
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .digits import GrayImage
 
 GRID = 8
 N_PIXELS = GRID * GRID
 SHIFT_FILL = -1.0  # scaled white background
 
 
-def _as_pixels(image) -> np.ndarray:
-    """Accept a GrayImage or a bare (..., 64) array; return the pixel array."""
-    pixels = getattr(image, "pixels", image)
+def _as_pixels(pixels) -> np.ndarray:
+    """A (..., 64) float64 pixel array."""
     pixels = np.asarray(pixels, dtype=np.float64)
     if pixels.shape[-1] != N_PIXELS:
         raise ValueError(f"expected trailing dimension {N_PIXELS}, got shape {pixels.shape}")
-    return pixels
-
-
-def _wrap(image, pixels: np.ndarray):
-    if hasattr(image, "pixels"):
-        return replace(image, pixels=pixels)
     return pixels
 
 
@@ -45,92 +35,87 @@ def _wrap(image, pixels: np.ndarray):
 
 
 @dataclass(frozen=True)
-class Inversion:
-    """x -> -x on every pixel; its own inverse."""
+class PixelAction:
+    """A signed pixel map: out[..., i] = sign[i] * x[..., index[i]], or the
+    SHIFT_FILL background where index[i] == -1.
+
+    Every group element used here is one: inversion, the 1-pixel shifts,
+    pixel permutations and quarter turns.  Build them with ``inversion``,
+    ``shift``, ``permutation`` and ``rotation90``.
+    """
+
+    index: tuple
+    sign: tuple
+
+    def __post_init__(self):
+        if len(self.index) != N_PIXELS or len(self.sign) != N_PIXELS \
+                or not set(self.index) <= set(range(-1, N_PIXELS)) \
+                or not set(self.sign) <= {-1, 1}:
+            raise ValueError(f"need {N_PIXELS} indices in -1..63 and {N_PIXELS} signs of +-1")
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        index = np.asarray(self.index, dtype=np.int64)
+        return index, np.asarray(self.sign, dtype=np.float64), index == -1
 
     def apply(self, pixels: np.ndarray) -> np.ndarray:
-        return -_as_pixels(pixels)
+        index, sign, vacated = self._arrays
+        out = np.take(_as_pixels(pixels), index, axis=-1)
+        out *= sign
+        out[..., vacated] = SHIFT_FILL
+        return out
 
 
-@dataclass(frozen=True)
-class Shift:
+def _unsigned(index) -> PixelAction:
+    index = np.asarray(index, dtype=np.int64).reshape(N_PIXELS)
+    return PixelAction(tuple(index.tolist()), (1,) * N_PIXELS)
+
+
+def inversion() -> PixelAction:
+    """x -> -x on every pixel; its own inverse."""
+    return PixelAction(tuple(range(N_PIXELS)), (-1,) * N_PIXELS)
+
+
+def shift(dx: int, dy: int) -> PixelAction:
     """Translate the 8x8 grid by (dx, dy); vacated cells get the -1 background.
 
     dx moves content toward higher column index (right), dy toward higher
     row index (down).  Only single-pixel shifts are allowed.
     """
-
-    dx: int
-    dy: int
-
-    def __post_init__(self):
-        if abs(self.dx) > 1 or abs(self.dy) > 1:
-            raise ValueError(f"shift magnitudes must be <= 1 pixel, got ({self.dx}, {self.dy})")
-
-    def apply(self, pixels: np.ndarray) -> np.ndarray:
-        x = _as_pixels(pixels)
-        grid = x.reshape(*x.shape[:-1], GRID, GRID)
-        out = np.full_like(grid, SHIFT_FILL)
-        rs = slice(max(self.dy, 0), GRID + min(self.dy, 0))
-        rs_src = slice(max(-self.dy, 0), GRID + min(-self.dy, 0))
-        cs = slice(max(self.dx, 0), GRID + min(self.dx, 0))
-        cs_src = slice(max(-self.dx, 0), GRID + min(-self.dx, 0))
-        out[..., rs, cs] = grid[..., rs_src, cs_src]
-        return out.reshape(*x.shape[:-1], N_PIXELS)
+    if abs(dx) > 1 or abs(dy) > 1:
+        raise ValueError(f"shift magnitudes must be <= 1 pixel, got ({dx}, {dy})")
+    rows, cols = np.divmod(np.arange(N_PIXELS), GRID)
+    src_rows, src_cols = rows - dy, cols - dx
+    inside = (src_rows >= 0) & (src_rows < GRID) & (src_cols >= 0) & (src_cols < GRID)
+    return _unsigned(np.where(inside, src_rows * GRID + src_cols, -1))
 
 
-@dataclass(frozen=True)
-class PixelPermutation:
+def permutation(perm) -> PixelAction:
     """Reorder pixels: output[i] = input[perm[i]]."""
-
-    perm: tuple
-
-    def __post_init__(self):
-        perm = np.asarray(self.perm, dtype=np.int64)
-        if sorted(perm.tolist()) != list(range(N_PIXELS)):
-            raise ValueError("perm must be a bijection on 0..63")
-        object.__setattr__(self, "perm", tuple(perm.tolist()))
-
-    def apply(self, pixels: np.ndarray) -> np.ndarray:
-        return _as_pixels(pixels)[..., list(self.perm)]
+    perm = np.asarray(perm, dtype=np.int64)
+    if sorted(perm.tolist()) != list(range(N_PIXELS)):
+        raise ValueError("perm must be a bijection on 0..63")
+    return _unsigned(perm)
 
 
-@dataclass(frozen=True)
-class Rotation90:
+def rotation90(k: int) -> PixelAction:
     """Rotate the grid by k counterclockwise quarter turns."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k not in (0, 1, 2, 3):
-            raise ValueError(f"k must be in 0..3, got {self.k}")
-
-    def apply(self, pixels: np.ndarray) -> np.ndarray:
-        x = _as_pixels(pixels)
-        grid = x.reshape(*x.shape[:-1], GRID, GRID)
-        rotated = np.ascontiguousarray(np.rot90(grid, k=self.k, axes=(-2, -1)))
-        return rotated.reshape(*x.shape[:-1], N_PIXELS)
+    if k not in (0, 1, 2, 3):
+        raise ValueError(f"k must be in 0..3, got {k}")
+    return _unsigned(np.rot90(np.arange(N_PIXELS).reshape(GRID, GRID), k=k))
 
 
-GroupElement = Union[Inversion, Shift, PixelPermutation, Rotation90]
-
-IDENTITY: GroupElement = Rotation90(0)
-
-
-def apply_group(element: GroupElement, image):
-    """Apply a group element to a GrayImage (label preserved) or pixel array."""
-    pixels = _as_pixels(image)
-    return _wrap(image, element.apply(pixels))
+IDENTITY = rotation90(0)
 
 
 def inversion_group() -> list:
     """The two-element grayscale inversion group {e, -1}."""
-    return [IDENTITY, Inversion()]
+    return [IDENTITY, inversion()]
 
 
 def rotation_group() -> list:
     """The four quarter-turn rotations of the grid (cyclic group C4)."""
-    return [Rotation90(k) for k in range(4)]
+    return [rotation90(k) for k in range(4)]
 
 
 def is_closed_group(elements: list) -> bool:
@@ -158,12 +143,6 @@ def is_closed_group(elements: list) -> bool:
 def make_permutation(seed: int) -> np.ndarray:
     """Draw a uniform random permutation of 0..63 (Fisher-Yates, seeded)."""
     return np.random.default_rng(seed).permutation(N_PIXELS)
-
-
-def count_fixed_points(perm: np.ndarray) -> int:
-    """Positions with i == P(i), where the pairwise sign information is lost."""
-    perm = np.asarray(perm)
-    return int(np.sum(perm == np.arange(len(perm))))
 
 
 @dataclass(frozen=True)
@@ -228,7 +207,8 @@ class PermutationProduct:
 
     @cached_property
     def fixed_points(self) -> int:
-        return count_fixed_points(self.perm)
+        """Positions with i == P(i), where the pairwise sign information is lost."""
+        return int(np.sum(self.perm == np.arange(N_PIXELS)))
 
     def apply(self, pixels: np.ndarray) -> np.ndarray:
         x = _as_pixels(pixels)
@@ -251,13 +231,13 @@ def feature_map_from_name(name: str, perm_seed: int = 0) -> FeatureMapKind:
         raise ValueError(f"unknown feature map {name!r}; choose from {sorted(table)}") from None
 
 
-def relative_sign(image, i: int, j: int) -> float:
+def relative_sign(pixels, i: int, j: int) -> float:
     """sign(x_i)/sign(x_j) computed as x_i x_j / sqrt(x_i^2 x_j^2).
 
     Invariant under global inversion.  Undefined (rejected) if either
     pixel is zero.
     """
-    pixels = _as_pixels(image)
+    pixels = _as_pixels(pixels)
     xi, xj = float(pixels[i]), float(pixels[j])
     if xi == 0.0 or xj == 0.0:
         raise ValueError(f"relative sign undefined: pixel {i if xi == 0.0 else j} is zero")

@@ -128,6 +128,17 @@ class ForwardResult:
     activations: list  # [input, hidden..., logits]
 
 
+def as_labels(labels) -> np.ndarray:
+    """Class labels as int64.  A float label must be integral (2.0 is 2);
+    a fractional or non-finite one is rejected, never truncated."""
+    y = np.asarray(labels)
+    if y.dtype.kind not in "iu":
+        y = np.asarray(y, dtype=np.float64)
+        if not (np.isfinite(y) & (y == np.rint(y))).all():
+            raise ValueError("labels must be integers")
+    return np.asarray(y, dtype=np.int64)
+
+
 def _check_features(mlp: Mlp, h: np.ndarray) -> None:
     if h.shape[-1] != mlp.layers[0].fan_in:
         raise ValueError(
@@ -237,7 +248,7 @@ def backward(mlp: Mlp, features, label) -> list[Layer]:
     For a single sample this is exactly the gradient of that sample's loss.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(label, dtype=np.int64))
+    y = np.atleast_1d(as_labels(label))
     _check_features(mlp, x)
     n_classes = mlp.layers[-1].fan_out
     if np.any(y < 0) or np.any(y >= n_classes):
@@ -285,7 +296,7 @@ def train(config: TrainConfig, features, labels,
     v = momentum*v - lr*g, W = W + v.
     """
     X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    y = as_labels(labels)
     if X.ndim != 2 or y.shape != (len(X),):
         raise ValueError(f"need (n, d) features and n labels, got {X.shape} and {y.shape}")
     n = len(y)

@@ -2,7 +2,8 @@
 
 Floats are serialized with Python's shortest-round-trip repr, so a saved
 model reloads bit-for-bit.  A PermutationProduct map stores both its seed
-and the explicit permutation; they must agree at load time.
+and the explicit permutation; they must agree at load time.  A file that
+is not such a model fails to load with a ValueError naming the file.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ def model_from_dict(d: dict) -> tuple[Mlp, FeatureMapKind]:
         for entry in d["layers"]
     ]
     mlp = Mlp(layers)  # validates dimension chaining
+    if not all(np.isfinite(a).all() for l in mlp.layers for a in (l.weights, l.bias)
+               if a is not None):
+        raise ValueError("stored weights are not all finite")
     if list(mlp.dims) != list(d["dims"]):
         raise ValueError(f"stored dims {d['dims']} do not match weight shapes {list(mlp.dims)}")
     if mlp.use_bias != bool(d["use_bias"]):
@@ -76,5 +80,9 @@ def save_model(path, mlp: Mlp, feature_map: FeatureMapKind) -> None:
 
 
 def load_model(path) -> tuple[Mlp, FeatureMapKind]:
-    with open(path, "r", encoding="ascii") as f:
-        return model_from_dict(json.load(f))
+    """Read a model file; any malformed content is a ValueError naming the path."""
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            return model_from_dict(json.load(f))
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise ValueError(f"malformed model file {path}: {type(exc).__name__}: {exc}") from None

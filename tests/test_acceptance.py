@@ -272,16 +272,16 @@ def test_criterion_7_pipeline_integrity(tmp_path, corpus, augmented, trained_nob
                      for a, b in zip(loaded.layers, mlp.layers))
 
     idx = _figure1_index(corpus)
-    image = corpus[idx]
-    render_image(image.pixels, tmp_path / "original.pgm")
-    render_image(-image.pixels, tmp_path / "inverted.pgm")
-    render_image(NeighborProduct().apply(image.pixels),
+    pixels, label = corpus.pixels[idx], int(corpus.labels[idx])
+    render_image(pixels, tmp_path / "original.pgm")
+    render_image(-pixels, tmp_path / "inverted.pgm")
+    render_image(NeighborProduct().apply(pixels),
                  tmp_path / "features.pgm")
     original = read_pgm(tmp_path / "original.pgm")
     inverted = read_pgm(tmp_path / "inverted.pgm")
     complement = bool(np.all(original + inverted == 255))
 
-    ok = counts_ok and leak_free and round_trip and complement and image.label == 6
+    ok = counts_ok and leak_free and round_trip and complement and label == 6
     _report(7, "pipeline integrity", ok,
             f"1797->8985={counts_ok} leak_free={leak_free} "
             f"round_trip={round_trip} figure1_complement={complement} "

@@ -257,6 +257,26 @@ def test_usage_errors_exit_one(tmp_path):
     assert run("train", "--features", "cubic") == 1
 
 
+@pytest.mark.parametrize("command, model_doc", [
+    (["probe", "weight-flip"], {"format": "symdigits-model-v1"}),
+    (["eval"], {"format": "symdigits-model-v1", "dims": [64, 10], "use_bias": False,
+                "feature_map": {"kind": "identity"}, "layers": [1]}),
+], ids=["weight-flip-no-layers", "eval-int-layer"])
+def test_malformed_model_file_exits_one_naming_it(tmp_path, small_csv, command, model_doc):
+    model = tmp_path / "broken-model.json"
+    model.write_text(json.dumps(model_doc))
+    src = str(Path(symdigits.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "symdigits.cli", *command, "--model", str(model),
+         "--data", small_csv, "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1
+    assert str(model) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_outputs_are_idempotent_except_manifest(tmp_path, small_csv):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -9,8 +9,8 @@ from symdigits.degeneracy import (ROTATION_GENERATOR, dataset_is_inversion_close
                                   toy_gradient, toy_hessian, toy_loss, train_toy,
                                   weight_flip_deviation, weight_orbit_invariance)
 from symdigits.digits import Dataset, symmetrize
-from symdigits.features import (NeighborProduct, Rotation90, Square,
-                                inversion_group, rotation_group)
+from symdigits.features import (NeighborProduct, Square, inversion_group,
+                                rotation_group)
 from symdigits.network import init_mlp, train, TrainConfig
 
 from conftest import random_images
@@ -28,7 +28,17 @@ def image_dataset(n=120, seed=0):
 def test_inversion_closure_detector():
     ds = image_dataset()
     assert not dataset_is_inversion_closed(ds)
-    assert dataset_is_inversion_closed(symmetrize(ds))
+    sym = symmetrize(ds)
+    assert dataset_is_inversion_closed(sym)
+    # the pixels stay closed, but one inverted copy is moved to another label
+    labels = sym.labels.copy()
+    labels[-1] = (labels[-1] + 1) % 10
+    assert not dataset_is_inversion_closed(
+        Dataset(sym.pixels, labels, sym.origin_ids))
+    # closure is a multiset property: the row order does not matter
+    order = np.random.default_rng(0).permutation(len(sym))
+    assert dataset_is_inversion_closed(
+        Dataset(sym.pixels[order], sym.labels[order], sym.origin_ids[order]))
 
 
 def test_weight_flip_invariance_on_symmetrized_data():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symdigits.digits import (Dataset, GrayImage, augment_shifts, class_counts,
+from symdigits.digits import (Dataset, augment_shifts, class_counts,
                               dataset_stats, invert_dataset, load_optdigits,
                               pixels_to_gray_levels, read_pgm, render_image,
                               scale_to_unit, split, symmetrize, unscale)
@@ -67,13 +67,32 @@ def test_scale_rejects_out_of_range():
         scale_to_unit(17)
 
 
-def test_gray_image_invariants():
+def test_dataset_invariants():
     with pytest.raises(ValueError):
-        GrayImage(np.zeros(63), label=0, origin_id=0)
+        Dataset(np.zeros((1, 63)), [0], [0])
     with pytest.raises(ValueError):
-        GrayImage(np.full(64, 1.5), label=0, origin_id=0)
+        Dataset(np.full((1, 64), 1.5), [0], [0])
     with pytest.raises(ValueError):
-        GrayImage(np.zeros(64), label=10, origin_id=0)
+        Dataset(np.zeros((1, 64)), [10], [0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_pixels(bad):
+    pixels = np.zeros((2, 64))
+    pixels[1, 5] = bad
+    with pytest.raises(ValueError, match="pixels"):
+        Dataset(pixels, [0, 1], [0, 1])
+
+
+@pytest.mark.parametrize("labels", [[0, 1.5], [0.9, 1], [0, np.nan]])
+def test_dataset_rejects_fractional_labels(labels):
+    with pytest.raises(ValueError, match="labels must be integers"):
+        Dataset(np.zeros((2, 64)), labels, [0, 1])
+
+
+def test_dataset_accepts_integral_float_labels():
+    ds = Dataset(np.zeros((2, 64)), [2.0, 7.0], [0, 1])
+    assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [2, 7]
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +196,9 @@ def test_render_feature_image_marks_boundaries(tmp_path):
 
 
 def test_gray_levels_reject_out_of_range():
-    with pytest.raises(ValueError):
-        pixels_to_gray_levels(np.full(64, 1.01))
+    for bad in (1.01, np.nan):
+        with pytest.raises(ValueError):
+            pixels_to_gray_levels(np.full(64, bad))
 
 
 def test_dataset_stats_fields(corpus):

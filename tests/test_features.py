@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from symdigits.digits import GrayImage
-from symdigits.features import (IDENTITY, Identity, Inversion, NeighborProduct,
-                                PermutationProduct, PixelPermutation, Rotation90,
-                                Shift, Square, apply_group,
-                                count_fixed_points, feature_map_from_name,
-                                inversion_group, is_closed_group,
-                                make_permutation, relative_sign, rotation_group)
+from symdigits.features import (IDENTITY, Identity, NeighborProduct, PermutationProduct,
+                                PixelAction, Square, feature_map_from_name, inversion,
+                                inversion_group, is_closed_group, make_permutation,
+                                permutation, relative_sign, rotation90, rotation_group,
+                                shift)
 
 from conftest import random_images
 
@@ -25,28 +23,21 @@ GOLDEN_PERM_SEED0 = [16, 36, 27, 8, 44, 23, 53, 4, 58, 50, 10, 2, 42, 34, 19, 47
 
 def test_inversion_is_involution():
     x = random_images(50, seed=1)
-    twice = Inversion().apply(Inversion().apply(x))
+    twice = inversion().apply(inversion().apply(x))
     assert np.array_equal(twice, x)
-
-
-def test_apply_group_preserves_label():
-    image = GrayImage(random_images(1, seed=2)[0], label=7, origin_id=3)
-    out = apply_group(Inversion(), image)
-    assert out.label == 7 and out.origin_id == 3
-    assert np.array_equal(out.pixels, -image.pixels)
 
 
 def test_shift_right_fills_left_column():
     x = random_images(1, seed=3)[0].reshape(8, 8)
     x[:, 0] = -1.0
-    shifted = Shift(1, 0).apply(x.reshape(64)).reshape(8, 8)
+    shifted = shift(1, 0).apply(x.reshape(64)).reshape(8, 8)
     assert np.all(shifted[:, 0] == -1.0)
     assert np.array_equal(shifted[:, 1:], x[:, :-1])
 
 
 def test_shift_round_trip_leaves_filled_strip():
     x = random_images(1, seed=4)[0]
-    back = Shift(-1, 0).apply(Shift(1, 0).apply(x)).reshape(8, 8)
+    back = shift(-1, 0).apply(shift(1, 0).apply(x)).reshape(8, 8)
     orig = x.reshape(8, 8)
     assert np.array_equal(back[:, :-1], orig[:, :-1])
     assert np.all(back[:, -1] == -1.0)
@@ -54,35 +45,83 @@ def test_shift_round_trip_leaves_filled_strip():
 
 def test_shift_magnitude_limited():
     with pytest.raises(ValueError):
-        Shift(2, 0)
+        shift(2, 0)
 
 
 def test_rotation_group_law():
     x = random_images(5, seed=5)
-    once_twice = Rotation90(1).apply(Rotation90(1).apply(x))
-    assert np.array_equal(Rotation90(2).apply(x), once_twice)
+    once_twice = rotation90(1).apply(rotation90(1).apply(x))
+    assert np.array_equal(rotation90(2).apply(x), once_twice)
 
 
 def test_rotation_k_range():
     with pytest.raises(ValueError):
-        Rotation90(4)
+        rotation90(4)
 
 
 def test_pixel_permutation_must_be_bijection():
     with pytest.raises(ValueError):
-        PixelPermutation(tuple([0] * 64))
+        permutation([0] * 64)
 
 
 def test_pixel_permutation_reorders():
     perm = make_permutation(3)
     x = random_images(4, seed=6)
-    assert np.array_equal(PixelPermutation(tuple(perm)).apply(x), x[:, perm])
+    assert np.array_equal(permutation(perm).apply(x), x[:, perm])
+
+
+@pytest.mark.parametrize("dx", [-1, 0, 1])
+@pytest.mark.parametrize("dy", [-1, 0, 1])
+def test_shift_matches_grid_translation(dx, dy):
+    x = random_images(6, seed=7).reshape(6, 8, 8)
+    want = np.full_like(x, -1.0)
+    want[:, max(dy, 0):8 + min(dy, 0), max(dx, 0):8 + min(dx, 0)] = \
+        x[:, max(-dy, 0):8 + min(-dy, 0), max(-dx, 0):8 + min(-dx, 0)]
+    assert np.array_equal(shift(dx, dy).apply(x.reshape(6, 64)), want.reshape(6, 64))
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_rotation_matches_rot90(k):
+    x = random_images(6, seed=8)
+    want = np.rot90(x.reshape(6, 8, 8), k=k, axes=(1, 2)).reshape(6, 64)
+    assert np.array_equal(rotation90(k).apply(x), want)
+
+
+def test_inversion_is_negation_including_signed_zeros():
+    x = random_images(3, seed=9)
+    x[0, :4] = [0.0, -0.0, 1.0, -1.0]
+    out = inversion().apply(x)
+    assert np.array_equal(out, -x) and np.array_equal(np.signbit(out), np.signbit(-x))
+
+
+def test_pixel_actions_are_values():
+    assert shift(1, 0) == shift(1, 0) != shift(0, 1)
+    assert len({rotation90(0), IDENTITY, rotation90(1)}) == 2
+    assert isinstance(inversion(), PixelAction)
+
+
+@pytest.mark.parametrize("index, sign", [
+    (tuple(range(63)), (1,) * 63),
+    ((64,) + tuple(range(1, 64)), (1,) * 64),
+    (tuple(range(64)), (2,) + (1,) * 63),
+], ids=["short", "index-out-of-range", "bad-sign"])
+def test_pixel_action_rejects_malformed_maps(index, sign):
+    with pytest.raises(ValueError):
+        PixelAction(index, sign)
+
+
+def test_pixel_action_leaves_its_input_alone():
+    x = random_images(2, seed=10)
+    before = x.copy()
+    out = shift(0, 1).apply(x)
+    out[:] = 0.0
+    assert np.array_equal(x, before)
 
 
 def test_group_closure():
     assert is_closed_group(inversion_group())
     assert is_closed_group(rotation_group())
-    assert not is_closed_group([Inversion()])  # missing the identity
+    assert not is_closed_group([inversion()])  # missing the identity
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +236,7 @@ def test_seed0_permutation_matches_golden():
 
 def test_fixed_point_count_reported():
     perm = np.array(GOLDEN_PERM_SEED0)
-    assert count_fixed_points(perm) == int(np.sum(perm == np.arange(64)))
-    assert PermutationProduct(0).fixed_points == count_fixed_points(perm)
+    assert PermutationProduct(0).fixed_points == int(np.sum(perm == np.arange(64))) == 1
 
 
 def test_identity_element_is_noop():

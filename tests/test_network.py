@@ -257,6 +257,28 @@ def test_label_outside_range_is_a_value_error():
         train(TrainConfig(epochs=1, batch_size=8), features, labels)
 
 
+@pytest.mark.parametrize("labels", [[0.9, 1.5, 2.2, 3.99], [0, 1, 2, np.nan]])
+def test_train_rejects_fractional_labels(labels):
+    # truncating would silently train on labels 0, 1, 2, 3
+    with pytest.raises(ValueError, match="labels must be integers"):
+        train(TrainConfig(epochs=1, batch_size=2), np.ones((4, 64)), labels)
+
+
+def test_train_accepts_integral_float_labels():
+    features, labels = toy_feature_set(n=8)
+    config = TrainConfig(epochs=1, batch_size=4)
+    as_float = train(config, features, labels.astype(np.float64))
+    as_int = train(config, features, labels)
+    assert as_float.epoch_losses == as_int.epoch_losses
+
+
+@pytest.mark.parametrize("label", [[2.7, 3.2], 0.5, [1, np.inf]])
+def test_backward_rejects_fractional_labels(label):
+    features = np.zeros((np.size(label), 64))
+    with pytest.raises(ValueError, match="labels must be integers"):
+        backward(small_net(), features, label)
+
+
 @pytest.mark.parametrize("label", [10, -1])
 def test_backward_rejects_label_outside_range(label):
     with pytest.raises(ValueError, match="label outside 0..9"):

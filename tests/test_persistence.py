@@ -67,3 +67,23 @@ def test_unknown_format_rejected(tmp_path):
     path.write_text(json.dumps({"format": "something-else"}))
     with pytest.raises(ValueError, match="format|file"):
         load_model(path)
+
+
+@pytest.mark.parametrize("content", [
+    '{"format": "symdigits-model-v1"}',
+    '{"format": "symdigits-model-v1", "dims": [64, 10], "use_bias": false,'
+    ' "feature_map": {"kind": "identity"}, "layers": [1]}',
+    '{"format": "symdigits-model-v1", "dims": [64, 10], "use_bias": false,'
+    ' "feature_map": {"kind": "identity"}, "layers": [{"weights": [[1.0]]}]}',
+    '{"format": "symdigits-model-v1", "dims": [2, 1], "use_bias": false,'
+    ' "feature_map": {"kind": "identity"}, "layers": [{"weights": [[NaN, 1.0]], "bias": null}]}',
+    '[1, 2]',
+    '{"format": ',
+    '{"format": "caf\u00e9"}',
+], ids=["no-layers", "int-layer", "no-bias-key", "nan-weight", "not-an-object", "truncated",
+        "non-ascii"])
+def test_malformed_model_file_is_a_value_error_naming_it(tmp_path, content):
+    path = tmp_path / "broken.json"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ValueError, match="malformed model file .*broken.json"):
+        load_model(path)
