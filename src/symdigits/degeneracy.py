@@ -117,11 +117,16 @@ def sampled_loss_expectation(mlp: Mlp, ds: Dataset, group: list[PixelAction],
         for g in group
     ])
     omega = float(np.sum(terms))
+    # Trials are drawn in blocks of rows: one (rows, terms.size) draw is the
+    # same stream as rows single draws, and each row sums pairwise as a 1-D
+    # sum would.
     rng = np.random.default_rng(seed)
     values = np.empty(trials)
-    for t in range(trials):
-        keep = rng.random(terms.shape) < mu
-        values[t] = np.sum(np.where(keep, terms, 0.0))
+    rows = max(1, 2**16 // terms.size)
+    for a in range(0, trials, rows):
+        b = min(a + rows, trials)
+        draws = rng.random((b - a, terms.size))
+        values[a:b] = np.sum(np.where(draws < mu, terms, 0.0), axis=1)
     empirical = float(np.mean(values))
     expected = mu * omega
     spread = float(np.std(values, ddof=1)) if trials > 1 else 0.0
@@ -170,6 +175,7 @@ class ToyRotationTask:
             raise ValueError("group order n must be >= 1")
         self._points = None
         self._labels = None
+        self._work = None
 
     @property
     def group_angles(self) -> np.ndarray:
@@ -194,6 +200,13 @@ class ToyRotationTask:
             self._labels = np.tile(self.base_labels, self.n)
         return self._labels
 
+    def _work_vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Three float64 scratch vectors, one entry per training input, that
+        toy_loss and toy_gradient overwrite on every call.  Allocated once."""
+        if self._work is None:
+            self._work = tuple(np.empty(len(self.points())) for _ in range(3))
+        return self._work
+
 
 def make_toy_task(n: int, n_points: int = 200, seed: int = 0,
                   radii=(0.5, 1.0), label_values=(0.2, 0.8),
@@ -209,17 +222,38 @@ def make_toy_task(n: int, n_points: int = 200, seed: int = 0,
 
 
 def toy_loss(task: ToyRotationTask, w) -> float:
-    """Omega(w) = sum over the (closed) dataset of (y - tanh(w.x)^2)^2."""
+    """Omega(w) = sum over the (closed) dataset of (y - tanh(w.x)^2)^2.
+
+    Computed in the task's work vectors, so two threads must not evaluate
+    the loss or gradient of one task at the same time.
+    """
     x, y = task.points(), task.labels()
-    f = np.tanh(x @ np.asarray(w, dtype=np.float64)) ** 2
-    return float(np.sum((y - f) ** 2))
+    r, _, _ = task._work_vectors()
+    np.matmul(x, np.asarray(w, dtype=np.float64), out=r)
+    np.tanh(r, out=r)
+    np.multiply(r, r, out=r)      # f
+    np.subtract(y, r, out=r)
+    np.multiply(r, r, out=r)
+    return float(np.sum(r))
 
 
 def toy_gradient(task: ToyRotationTask, w) -> np.ndarray:
+    """dOmega/dw = sum over x of 2 (f - y) f'(w.x) x, with f = tanh^2.
+
+    Computed in the task's work vectors, so two threads must not evaluate
+    the loss or gradient of one task at the same time.  The returned
+    gradient is a fresh array.
+    """
     x, y = task.points(), task.labels()
-    t = np.tanh(x @ np.asarray(w, dtype=np.float64))
-    f = t * t
-    coeff = 2.0 * (f - y) * 2.0 * t * (1.0 - t * t)
+    t, f, coeff = task._work_vectors()
+    np.matmul(x, np.asarray(w, dtype=np.float64), out=t)
+    np.tanh(t, out=t)
+    np.multiply(t, t, out=f)
+    np.subtract(f, y, out=coeff)
+    coeff *= 4.0                  # 2 * (f - y) * 2, exact: a power of two
+    coeff *= t
+    np.subtract(1.0, f, out=f)    # 1 - t * t
+    coeff *= f
     return x.T @ coeff
 
 

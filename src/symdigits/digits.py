@@ -13,7 +13,7 @@ import importlib.resources
 import numpy as np
 
 from .features import GRID, N_PIXELS, inversion, shift
-from .network import as_labels
+from .network import as_integers
 
 RAW_MAX = 16
 N_CLASSES = 10
@@ -33,14 +33,16 @@ class Dataset:
 
     def __init__(self, pixels, labels, origin_ids, name="dataset", lineage=()):
         self.pixels = np.asarray(pixels, dtype=np.float64).reshape(-1, N_PIXELS)
-        self.labels = as_labels(labels).reshape(-1)
-        self.origin_ids = np.asarray(origin_ids, dtype=np.int64).reshape(-1)
+        self.labels = as_integers(labels, "labels").reshape(-1)
+        self.origin_ids = as_integers(origin_ids, "origin_ids").reshape(-1)
         if not (len(self.pixels) == len(self.labels) == len(self.origin_ids)):
             raise ValueError("pixels, labels and origin_ids must have equal length")
         if not np.abs(self.pixels).max(initial=0.0) <= 1.0:  # NaN fails too
             raise ValueError("pixels must lie in [-1, 1]")
         if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) >= N_CLASSES:
             raise ValueError("labels must be in 0..9")
+        if self.origin_ids.min(initial=0) < 0:
+            raise ValueError("origin_ids must be non-negative")
         self.name = name
         self.lineage = list(lineage)
 

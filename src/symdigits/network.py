@@ -128,14 +128,15 @@ class ForwardResult:
     activations: list  # [input, hidden..., logits]
 
 
-def as_labels(labels) -> np.ndarray:
-    """Class labels as int64.  A float label must be integral (2.0 is 2);
-    a fractional or non-finite one is rejected, never truncated."""
-    y = np.asarray(labels)
+def as_integers(values, name: str) -> np.ndarray:
+    """Class labels or ids as int64.  A float value must be integral (2.0 is
+    2) and within int64; a fractional or non-finite one is rejected, never
+    truncated.  ``name`` is the quantity the error message names."""
+    y = np.asarray(values)
     if y.dtype.kind not in "iu":
         y = np.asarray(y, dtype=np.float64)
-        if not (np.isfinite(y) & (y == np.rint(y))).all():
-            raise ValueError("labels must be integers")
+        if not (np.isfinite(y) & (y == np.rint(y)) & (np.abs(y) < 2.0**63)).all():
+            raise ValueError(f"{name} must be integers")
     return np.asarray(y, dtype=np.int64)
 
 
@@ -248,7 +249,7 @@ def backward(mlp: Mlp, features, label) -> list[Layer]:
     For a single sample this is exactly the gradient of that sample's loss.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    y = np.atleast_1d(as_labels(label))
+    y = np.atleast_1d(as_integers(label, "labels"))
     _check_features(mlp, x)
     n_classes = mlp.layers[-1].fan_out
     if np.any(y < 0) or np.any(y >= n_classes):
@@ -296,7 +297,7 @@ def train(config: TrainConfig, features, labels,
     v = momentum*v - lr*g, W = W + v.
     """
     X = np.asarray(features, dtype=np.float64)
-    y = as_labels(labels)
+    y = as_integers(labels, "labels")
     if X.ndim != 2 or y.shape != (len(X),):
         raise ValueError(f"need (n, d) features and n labels, got {X.shape} and {y.shape}")
     n = len(y)

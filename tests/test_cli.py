@@ -257,6 +257,16 @@ def test_usage_errors_exit_one(tmp_path):
     assert run("train", "--features", "cubic") == 1
 
 
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter, so an escaping exception shows as
+    a traceback on stderr."""
+    src = str(Path(symdigits.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "symdigits.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
 @pytest.mark.parametrize("command, model_doc", [
     (["probe", "weight-flip"], {"format": "symdigits-model-v1"}),
     (["eval"], {"format": "symdigits-model-v1", "dims": [64, 10], "use_bias": False,
@@ -265,16 +275,38 @@ def test_usage_errors_exit_one(tmp_path):
 def test_malformed_model_file_exits_one_naming_it(tmp_path, small_csv, command, model_doc):
     model = tmp_path / "broken-model.json"
     model.write_text(json.dumps(model_doc))
-    src = str(Path(symdigits.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "symdigits.cli", *command, "--model", str(model),
-         "--data", small_csv, "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=300)
+    proc = run_process(*command, "--model", str(model),
+                       "--data", small_csv, "--out", str(tmp_path / "out"))
     assert proc.returncode == 1
     assert str(model) in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _csv_row(fields):
+    return ",".join(str(v) for v in fields)
+
+
+GOOD_ROW = [0] * 64 + [3]
+
+
+@pytest.mark.parametrize("bad_line, where", [
+    (_csv_row(GOOD_ROW[:-1]), "line 3"),
+    (_csv_row([17] + GOOD_ROW[1:]), "line 3"),
+    (_csv_row(GOOD_ROW[:-1] + [10]), "line 3"),
+    (_csv_row(GOOD_ROW[:-1] + ["2.5"]), "line 3"),
+    (None, "empty"),
+], ids=["field-count", "pixel-17", "label-10", "non-integer", "empty"])
+def test_malformed_csv_exits_one_naming_file_and_line(tmp_path, bad_line, where):
+    data = tmp_path / "bad.csv"
+    data.write_text("" if bad_line is None
+                    else "\n".join([_csv_row(GOOD_ROW)] * 2 + [bad_line, _csv_row(GOOD_ROW)]) + "\n")
+    out = tmp_path / "out"
+    proc = run_process("train", "--data", str(data), "--out", str(out), "--epochs", "1")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert f"{data}: {where}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / "manifest.json").exists()
 
 
 def test_outputs_are_idempotent_except_manifest(tmp_path, small_csv):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from symdigits.degeneracy import (ROTATION_GENERATOR, dataset_is_inversion_closed,
+from symdigits.degeneracy import (ROTATION_GENERATOR, SampledLossReport,
+                                  dataset_is_inversion_closed,
                                   generator_curvature, generator_curvature_sweep,
                                   make_toy_task, orbit_loss_scan, orbit_profile,
                                   per_sample_inversion_gap, rotation_matrix,
@@ -11,7 +12,7 @@ from symdigits.degeneracy import (ROTATION_GENERATOR, dataset_is_inversion_close
 from symdigits.digits import Dataset, symmetrize
 from symdigits.features import (NeighborProduct, Square, inversion_group,
                                 rotation_group)
-from symdigits.network import init_mlp, train, TrainConfig
+from symdigits.network import init_mlp, sample_loss, train, TrainConfig
 
 from conftest import random_images
 
@@ -110,6 +111,43 @@ def test_sampled_loss_works_with_rotation_group():
     assert report.trial_min == report.omega == report.trial_max
 
 
+def reference_sampled_loss(mlp, ds, group, mu, trials, seed=0):
+    """One draw and one sum per trial: the plain form of the estimator."""
+    terms = np.concatenate([sample_loss(mlp, g.apply(ds.pixels), ds.labels)
+                            for g in group])
+    omega = float(np.sum(terms))
+    rng = np.random.default_rng(seed)
+    values = np.empty(trials)
+    for t in range(trials):
+        keep = rng.random(terms.shape) < mu
+        values[t] = np.sum(np.where(keep, terms, 0.0))
+    empirical = float(np.mean(values))
+    spread = float(np.std(values, ddof=1)) if trials > 1 else 0.0
+    return SampledLossReport(
+        mu=mu, trials=trials, omega=omega, expected=mu * omega,
+        empirical_mean=empirical, ratio=empirical / (mu * omega),
+        ratio_std_error=spread / np.sqrt(trials) / (mu * omega),
+        trial_min=float(values.min()), trial_max=float(values.max()))
+
+
+@pytest.mark.parametrize("n, group, mu, trials", [
+    (60, inversion_group(), 0.5, 1237),     # 120 terms: blocks of 546 rows, last one short
+    (37, inversion_group(), 0.3, 1),
+    (40, rotation_group(), 0.7, 333),
+    (33000, inversion_group(), 0.5, 3),     # 66000 terms > 2**16: one row per block
+    (50, inversion_group(), 1.0, 700),
+    (20, rotation_group(), 1.0, 9),
+], ids=["inversion-partial-block", "one-trial", "rotation", "one-row-blocks",
+        "mu-one", "rotation-mu-one"])
+def test_sampled_loss_equals_per_trial_reference(n, group, mu, trials):
+    ds = image_dataset(n=n, seed=n)
+    mlp = init_mlp((64, 10, 5, 10), False, n)
+    report = sampled_loss_expectation(mlp, ds, group, mu=mu, trials=trials, seed=11)
+    assert report.to_dict() == reference_sampled_loss(mlp, ds, group, mu, trials, seed=11).to_dict()
+    if mu == 1.0:
+        assert report.trial_min == report.omega == report.trial_max
+
+
 def test_sampled_loss_validation():
     ds = image_dataset(n=5)
     mlp = init_mlp((64, 4, 10), False, 0)
@@ -132,6 +170,53 @@ def test_toy_task_labels_are_radius_functions():
         mask = np.isclose(radii, r)
         assert np.all(labels[mask] == y)
     assert len(task.points()) == 50 * 8
+
+
+def reference_toy_loss(task, w):
+    x, y = task.points(), task.labels()
+    f = np.tanh(x @ np.asarray(w, dtype=np.float64)) ** 2
+    return float(np.sum((y - f) ** 2))
+
+
+def reference_toy_gradient(task, w):
+    x, y = task.points(), task.labels()
+    t = np.tanh(x @ np.asarray(w, dtype=np.float64))
+    f = t * t
+    coeff = 2.0 * (f - y) * 2.0 * t * (1.0 - t * t)
+    return x.T @ coeff
+
+
+TOY_WEIGHTS = [(0.0, 0.0), (0.9, 0.4), (40.0, -25.0), (-1.3, 0.05), (1e-3, -2e-3)]
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "unclosed"])
+@pytest.mark.parametrize("n", [1, 4, 7, 360])
+def test_toy_loss_and_gradient_match_reference_bits(n, closed):
+    task = make_toy_task(n, seed=n, closed=closed)
+    for w in TOY_WEIGHTS:
+        assert toy_loss(task, w) == reference_toy_loss(task, w)
+        assert np.array_equal(toy_gradient(task, w), reference_toy_gradient(task, w))
+
+
+def test_toy_work_vectors_leak_no_state():
+    task = make_toy_task(7)
+    expected = {w: (reference_toy_loss(task, w), reference_toy_gradient(task, w))
+                for w in TOY_WEIGHTS}
+    # repeated and interleaved calls in both orders
+    order = TOY_WEIGHTS + TOY_WEIGHTS[::-1] + TOY_WEIGHTS[::2]
+    for w in order:
+        assert np.array_equal(toy_gradient(task, w), expected[w][1])
+        assert np.array_equal(toy_gradient(task, w), expected[w][1])
+        assert toy_loss(task, w) == expected[w][0]
+    for w in order:
+        assert toy_loss(task, w) == expected[w][0]
+        assert np.array_equal(toy_gradient(task, w), expected[w][1])
+    # a returned gradient is the caller's: later calls do not overwrite it
+    g = toy_gradient(task, (0.9, 0.4))
+    kept = g.copy()
+    toy_gradient(task, (40.0, -25.0))
+    toy_loss(task, (-1.3, 0.05))
+    assert np.array_equal(g, kept)
 
 
 def test_toy_gradient_matches_finite_differences():

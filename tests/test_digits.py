@@ -95,6 +95,19 @@ def test_dataset_accepts_integral_float_labels():
     assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [2, 7]
 
 
+@pytest.mark.parametrize("origin_ids", [
+    [0, 1, 2, 3.5], [0.5, 1.7, 2.2, -3.9], [0, 1, 2, np.nan], [0, 1, np.inf, 3],
+    [0, 1, 2, -3], [0, 1, 2, -3.0], [0, 1, 2, 1e300]])
+def test_dataset_rejects_bad_origin_ids(origin_ids):
+    with pytest.raises(ValueError, match="origin_ids"):
+        Dataset(np.zeros((4, 64)), [0, 1, 2, 3], origin_ids)
+
+
+def test_dataset_accepts_integral_float_origin_ids():
+    ds = Dataset(np.zeros((3, 64)), [0, 1, 2], [2.0, 0.0, 2.0])
+    assert ds.origin_ids.dtype == np.int64 and ds.origin_ids.tolist() == [2, 0, 2]
+
+
 # ---------------------------------------------------------------------------
 # augmentation / symmetrization / split
 # ---------------------------------------------------------------------------
