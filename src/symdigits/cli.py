@@ -32,8 +32,7 @@ from .degeneracy import (generator_curvature_sweep, make_toy_task,
 from .digits import (Dataset, augment_shifts, bundled_data_path, dataset_stats,
                      invert_dataset, load_dataset, pixels_to_gray_levels,
                      render_image, split, symmetrize)
-from .experiments import (PAPER_VALUES, bound_check, evaluate, format_verdicts,
-                          reproduce_tables)
+from .experiments import CELLS, bound_check, evaluate, format_verdicts, reproduce_tables
 from .features import (Identity, NeighborProduct, feature_map_from_name,
                        inversion_group)
 from .network import TrainConfig, TrainingDiverged, init_mlp, train
@@ -271,11 +270,11 @@ def cmd_reproduce(args, resolved, out):
     report.write_csv(out / "results.csv")
     _write_json(out / "report.json", report.to_dict())
 
-    cells = sorted(c for c in report.cells if c[4] == "X_test" or c[0] == "table1")
+    cells = sorted(c for c in report.cells if c in CELLS)
     bar_chart(out / "accuracies.svg",
               labels=["/".join(c[1:]) for c in cells],
               values=[report.cell_mean(c) for c in cells],
-              reference=[PAPER_VALUES.get(c) for c in cells],
+              reference=[CELLS[c][0] for c in cells],
               title="accuracy per cell (red tick: published value)")
 
     # the no-bias cells must also pass the full bound check (per-sample
@@ -371,8 +370,11 @@ def _probe_goldstone(args, resolved, out):
 
 def _probe_sampled_loss(args, resolved, out):
     ds = load_dataset(_data_path(resolved))
-    head = Dataset(ds.pixels[:resolved["samples"]], ds.labels[:resolved["samples"]],
-                   ds.origin_ids[:resolved["samples"]], name="subset")
+    samples = resolved["samples"]
+    if not 1 <= samples <= len(ds):
+        raise CliError(f"--samples must be in 1..{len(ds)}, got {samples}")
+    head = Dataset(ds.pixels[:samples], ds.labels[:samples], ds.origin_ids[:samples],
+                   name="subset")
     mlp = init_mlp((64, 10, 5, 10), use_bias=False, seed_or_rng=resolved["seed"])
     report = sampled_loss_expectation(mlp, head, inversion_group(),
                                       mu=resolved["mu"], trials=resolved["trials"],

@@ -112,6 +112,8 @@ def sampled_loss_expectation(mlp: Mlp, ds: Dataset, group: list[PixelAction],
         raise ValueError(f"inclusion probability must be in (0, 1], got {mu}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if len(ds) == 0:
+        raise ValueError("cannot sample the loss of an empty dataset")
     terms = np.concatenate([
         np.asarray(sample_loss(mlp, g.apply(ds.pixels), ds.labels), dtype=np.float64)
         for g in group
@@ -208,15 +210,18 @@ class ToyRotationTask:
         return self._work
 
 
+TOY_RADII = (0.5, 1.0)
+TOY_LABELS = (0.2, 0.8)     # label of the points on each circle
+
+
 def make_toy_task(n: int, n_points: int = 200, seed: int = 0,
-                  radii=(0.5, 1.0), label_values=(0.2, 0.8),
                   closed: bool = True) -> ToyRotationTask:
     """Points at random angles on two circles; labels depend on the radius."""
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n_points)
     half = n_points // 2
-    radius = np.where(np.arange(n_points) < half, radii[0], radii[1])
-    labels = np.where(np.arange(n_points) < half, label_values[0], label_values[1])
+    radius = np.where(np.arange(n_points) < half, TOY_RADII[0], TOY_RADII[1])
+    labels = np.where(np.arange(n_points) < half, TOY_LABELS[0], TOY_LABELS[1])
     points = np.stack([radius * np.cos(angles), radius * np.sin(angles)], axis=1)
     return ToyRotationTask(points, labels, n=n, closed=closed)
 
@@ -268,15 +273,20 @@ def toy_hessian(task: ToyRotationTask, w) -> np.ndarray:
     return (x * coeff[:, None]).T @ x
 
 
-def train_toy(task: ToyRotationTask, init=(0.9, 0.4), gd_iters: int = 800,
-              gd_rate: float = 0.5, grad_tol: float = 1e-9) -> np.ndarray:
+TOY_INIT = (0.9, 0.4)       # starting weights of train_toy
+GD_ITERS = 800
+GD_RATE = 0.5
+GRAD_TOL = 1e-9             # gradient norm that ends the Newton polish
+
+
+def train_toy(task: ToyRotationTask) -> np.ndarray:
     """Find a minimum of the toy loss: gradient descent to reach the valley,
     an orbit scan over one modulation period to pick the right angular
     basin, then damped Newton down to machine-level gradient norms."""
-    w = np.asarray(init, dtype=np.float64).copy()
+    w = np.array(TOY_INIT, dtype=np.float64)
     n_points = len(task.points())
-    for _ in range(gd_iters):
-        w -= gd_rate * toy_gradient(task, w) / n_points
+    for _ in range(GD_ITERS):
+        w -= GD_RATE * toy_gradient(task, w) / n_points
     # place w at the best angle within one period of the C_n modulation
     period = 2.0 * np.pi / task.n
     offsets = np.linspace(0.0, period, 64, endpoint=False)
@@ -287,7 +297,7 @@ def train_toy(task: ToyRotationTask, init=(0.9, 0.4), gd_iters: int = 800,
     for _ in range(200):
         g = toy_gradient(task, w)
         gn = float(np.linalg.norm(g))
-        if gn < grad_tol:
+        if gn < GRAD_TOL:
             break
         H = toy_hessian(task, w)
         for _ in range(60):
@@ -343,38 +353,46 @@ def orbit_loss_scan(task: ToyRotationTask, w) -> OrbitScan:
 # ---------------------------------------------------------------------------
 
 
-def _hessian_vector_product(task: ToyRotationTask, w, v, h: float = 1e-6) -> np.ndarray:
+HVP_STEP = 1e-6             # central-difference spacing of H v
+POWER_ITERATIONS = 200      # steps per power iteration, at most
+POWER_SEED = 0              # seeds the start vectors of the power iterations
+
+
+def _hessian_vector_product(task: ToyRotationTask, w, v) -> np.ndarray:
     """Central-difference H v from analytic gradients."""
     v = np.asarray(v, dtype=np.float64)
-    return (toy_gradient(task, w + h * v) - toy_gradient(task, w - h * v)) / (2.0 * h)
+    return (toy_gradient(task, w + HVP_STEP * v)
+            - toy_gradient(task, w - HVP_STEP * v)) / (2.0 * HVP_STEP)
 
 
-def smallest_hessian_eigenvalue(task: ToyRotationTask, w, iters: int = 200,
-                                seed: int = 0) -> float:
+def _power_iteration(operator, v) -> float:
+    """Rayleigh quotient v.Av of the dominant eigenvector of ``operator``,
+    from start vector v.  A step that leaves v bitwise unchanged would be
+    repeated exactly by every later step, so the loop ends there."""
+    v = v / np.linalg.norm(v)
+    rayleigh = 0.0
+    for _ in range(POWER_ITERATIONS):
+        av = operator(v)
+        norm = np.linalg.norm(av)
+        if norm == 0.0:
+            break
+        rayleigh = float(v @ av)
+        v_next = av / norm
+        if np.array_equal(v_next, v):
+            break
+        v = v_next
+    return rayleigh
+
+
+def smallest_hessian_eigenvalue(task: ToyRotationTask, w) -> float:
     """Power iteration on the shifted operator (c I - H) using
     finite-difference Hessian-vector products; never forms H."""
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=2)
-    v /= np.linalg.norm(v)
-    lam_max = 0.0
-    for _ in range(iters):
-        hv = _hessian_vector_product(task, w, v)
-        norm = np.linalg.norm(hv)
-        if norm == 0.0:
-            break
-        lam_max = float(v @ hv)
-        v = hv / norm
+    rng = np.random.default_rng(POWER_SEED)
+    lam_max = _power_iteration(lambda v: _hessian_vector_product(task, w, v),
+                               rng.normal(size=2))
     shift = abs(lam_max) * 1.05 + 1.0
-    v = rng.normal(size=2)
-    v /= np.linalg.norm(v)
-    mu = 0.0
-    for _ in range(iters):
-        bv = shift * v - _hessian_vector_product(task, w, v)
-        norm = np.linalg.norm(bv)
-        if norm == 0.0:
-            break
-        mu = float(v @ bv)
-        v = bv / norm
+    mu = _power_iteration(lambda v: shift * v - _hessian_vector_product(task, w, v),
+                          rng.normal(size=2))
     return shift - mu
 
 
@@ -397,24 +415,27 @@ class CurvatureReport:
         return asdict(self)
 
 
-def generator_curvature(task: ToyRotationTask, w_star, step: float = 1e-4,
-                        grad_norm_limit: float = 1e-6) -> CurvatureReport:
+CURVATURE_STEP = 1e-4       # spacing of the second differences
+GRAD_NORM_LIMIT = 1e-6      # larger gradient norms warn: w_star is no minimum
+
+
+def generator_curvature(task: ToyRotationTask, w_star) -> CurvatureReport:
     """Directional derivative and curvature along the generator direction
     d = G w_star, compared with the radial direction w_star/|w_star|.
 
-    Curvatures are unit-direction second differences with spacing ``step``.
-    A second difference cannot resolve curvature below roughly
-    64 eps |Omega| / step^2; raw values inside that bound are reported as
-    zero, with the bound recorded, so an exponentially flat valley does
-    not read as noise.
+    Curvatures are unit-direction second differences with spacing
+    step = CURVATURE_STEP.  A second difference cannot resolve curvature
+    below roughly 64 eps |Omega| / step^2; raw values inside that bound are
+    reported as zero, with the bound recorded, so an exponentially flat
+    valley does not read as noise.
     """
     w = np.asarray(w_star, dtype=np.float64)
     g = toy_gradient(task, w)
     grad_norm = float(np.linalg.norm(g))
-    if grad_norm > grad_norm_limit:
+    if grad_norm > GRAD_NORM_LIMIT:
         warnings.warn(
             f"generator_curvature called away from a minimum "
-            f"(|grad| = {grad_norm:.2e} > {grad_norm_limit:.0e}); results returned anyway",
+            f"(|grad| = {grad_norm:.2e} > {GRAD_NORM_LIMIT:.0e}); results returned anyway",
             stacklevel=2)
     d = ROTATION_GENERATOR @ w
     directional = float(g @ d)
@@ -424,10 +445,11 @@ def generator_curvature(task: ToyRotationTask, w_star, step: float = 1e-4,
     loss_0 = toy_loss(task, w)
 
     def second_difference(direction):
-        up = toy_loss(task, w + step * direction)
-        down = toy_loss(task, w - step * direction)
-        raw = (up - 2.0 * loss_0 + down) / step**2
-        resolution = 64.0 * MACHINE_EPS * max(abs(up), abs(loss_0), abs(down)) / step**2
+        up = toy_loss(task, w + CURVATURE_STEP * direction)
+        down = toy_loss(task, w - CURVATURE_STEP * direction)
+        raw = (up - 2.0 * loss_0 + down) / CURVATURE_STEP**2
+        resolution = (64.0 * MACHINE_EPS * max(abs(up), abs(loss_0), abs(down))
+                      / CURVATURE_STEP**2)
         return raw, resolution
 
     gen_raw, resolution = second_difference(d_unit)
@@ -442,14 +464,13 @@ def generator_curvature(task: ToyRotationTask, w_star, step: float = 1e-4,
         smallest_hessian_eigenvalue=smallest_hessian_eigenvalue(task, w))
 
 
-def generator_curvature_sweep(ns=(4, 16, 64, 360), n_points: int = 200,
-                              seed: int = 0) -> list[CurvatureReport]:
+def generator_curvature_sweep(ns=(4, 16, 64, 360), seed: int = 0) -> list[CurvatureReport]:
     """Train the toy task for each group order and measure the generator
     curvature at the minimum; flattening toward the continuous limit shows
     up as a non-increasing sequence."""
     reports = []
     for n in ns:
-        task = make_toy_task(n, n_points=n_points, seed=seed)
+        task = make_toy_task(n, seed=seed)
         w_star = train_toy(task)
         reports.append(generator_curvature(task, w_star))
     return reports

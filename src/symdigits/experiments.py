@@ -8,7 +8,8 @@ make the two accuracies identical instead.
 
 ``reproduce_tables`` reruns the full accuracy matrix (four identity-feature
 rows, six invariant-feature rows) over several seeds and grades every cell
-against its acceptance band.
+against its acceptance band.  ``TABLE_ROWS`` lists the rows of each table;
+``CELLS`` lists the published cells with their paper values and bands.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .digits import Dataset, N_CLASSES, invert_dataset, split, symmetrize
-from .features import (FeatureMapKind, Identity, NeighborProduct,
-                       PermutationProduct, Square)
+from .features import FeatureMapKind, Identity, feature_map_from_name
 from .network import Mlp, TrainConfig, predict, forward, train
 
 
@@ -115,28 +115,6 @@ class EvalReport:
         }
 
 
-TRAIN_VARIANTS = ("X_train", "pmX_train")
-
-
-@dataclass(frozen=True)
-class RowSpec:
-    """One table row: bias mode, feature map, and which training-set variant."""
-
-    bias_mode: bool
-    feature_map: FeatureMapKind
-    train_variant: str
-    config: TrainConfig
-
-    def __post_init__(self):
-        if self.train_variant not in TRAIN_VARIANTS:
-            raise ValueError(f"train_variant must be one of {TRAIN_VARIANTS}")
-
-    @property
-    def model_id(self) -> str:
-        bias = "bias" if self.bias_mode else "nobias"
-        return f"{bias}-{self.feature_map.name}-{self.train_variant}-seed{self.config.seed}"
-
-
 def evaluate(mlp: Mlp, feature_map: FeatureMapKind, test: Dataset,
              model_id: str, train_set_name: str, n_train: int) -> EvalReport:
     R, confusion = accuracy(mlp, feature_map, test)
@@ -153,69 +131,95 @@ def evaluate(mlp: Mlp, feature_map: FeatureMapKind, test: Dataset,
         bound_holds=bool(R + R_bar <= 1.0) if theorem_applies else None)
 
 
-def run_row(row: RowSpec, train_ds: Dataset, test_ds: Dataset) -> EvalReport:
-    """Build the row's training set, train, and evaluate on X_test and -X_test."""
-    config = replace(row.config, use_bias=row.bias_mode)
-    effective = symmetrize(train_ds) if row.train_variant == "pmX_train" else train_ds
-    result = train(config, row.feature_map.apply(effective.pixels), effective.labels)
-    return evaluate(result.mlp, row.feature_map, test_ds,
-                    row.model_id, effective.name, len(effective))
+def run_row(config: TrainConfig, feature_map: FeatureMapKind, train_variant: str,
+            train_ds: Dataset, test_ds: Dataset) -> EvalReport:
+    """Train one table row and evaluate it on X_test and -X_test.
+
+    ``train_variant`` is "X_train" for the training set as given or
+    "pmX_train" for its symmetrized copy; ``config`` carries the row's seed
+    and bias mode.
+    """
+    if train_variant not in ("X_train", "pmX_train"):
+        raise ValueError(f"train_variant must be X_train or pmX_train, got {train_variant!r}")
+    effective = symmetrize(train_ds) if train_variant == "pmX_train" else train_ds
+    result = train(config, feature_map.apply(effective.pixels), effective.labels)
+    bias = "bias" if config.use_bias else "nobias"
+    model_id = f"{bias}-{feature_map.name}-{train_variant}-seed{config.seed}"
+    return evaluate(result.mlp, feature_map, test_ds, model_id, effective.name, len(effective))
 
 
 # ---------------------------------------------------------------------------
 # tables
 # ---------------------------------------------------------------------------
 
+# table -> its rows in output order: (bias mode, feature-map name, training set)
+TABLE_ROWS = {
+    "table1": ((False, "identity", "X_train"), (False, "identity", "pmX_train"),
+               (True, "identity", "X_train"), (True, "identity", "pmX_train")),
+    "table2": tuple((bias, name, "X_train") for bias in (False, True)
+                    for name in ("square", "neighbor", "perm")),
+}
 
-def table1_rows(seed: int, config: TrainConfig) -> list[RowSpec]:
-    cfg = replace(config, seed=seed)
-    return [
-        RowSpec(False, Identity(), "X_train", cfg),
-        RowSpec(False, Identity(), "pmX_train", cfg),
-        RowSpec(True, Identity(), "X_train", cfg),
-        RowSpec(True, Identity(), "pmX_train", cfg),
-    ]
+# published cell -> (paper value, low, high), in verdict order.  The paper
+# omits all training hyperparameters, so a cell is graded against a band on
+# its across-seed mean rather than against the published number; None means
+# unbounded.  These are the cells the CSV, the chart and the bands report.
+CELLS = {
+    ("table1", "no_bias", "identity", "X_train", "X_test"): (0.84, 0.75, None),
+    ("table1", "no_bias", "identity", "X_train", "-X_test"): (0.001, None, 0.05),
+    ("table1", "bias", "identity", "X_train", "X_test"): (0.81, 0.72, None),
+    ("table1", "bias", "identity", "X_train", "-X_test"): (0.02, None, 0.10),
+    ("table1", "bias", "identity", "pmX_train", "X_test"): (0.68, 0.55, 0.80),
+    ("table1", "bias", "identity", "pmX_train", "-X_test"): (0.69, 0.55, 0.80),
+    ("table1", "no_bias", "identity", "pmX_train", "X_test"): (0.12, None, 0.55),
+    ("table1", "no_bias", "identity", "pmX_train", "-X_test"): (0.09, None, 0.55),
+    ("table2", "no_bias", "square", "X_train", "X_test"): (0.65, 0.50, 0.75),
+    ("table2", "no_bias", "neighbor", "X_train", "X_test"): (0.84, 0.78, None),
+    ("table2", "no_bias", "perm", "X_train", "X_test"): (0.81, 0.72, None),
+    # with-bias bands: same lower edges, upper edges +0.05
+    ("table2", "bias", "square", "X_train", "X_test"): (0.66, 0.50, 0.80),
+    ("table2", "bias", "neighbor", "X_train", "X_test"): (0.87, 0.78, None),
+    ("table2", "bias", "perm", "X_train", "X_test"): (0.82, 0.72, None),
+}
 
-
-def table2_rows(seed: int, config: TrainConfig) -> list[RowSpec]:
-    cfg = replace(config, seed=seed)
-    maps = [Square(), NeighborProduct(), PermutationProduct(seed)]
-    return [RowSpec(bias, fm, "X_train", cfg) for bias in (False, True) for fm in maps]
+CSV_FIELDS = ("table", "bias_mode", "features", "train_set", "test_set", "seed", "accuracy")
 
 
 @dataclass
 class TablesReport:
-    """All per-seed evaluations plus per-cell summaries and band verdicts."""
+    """All per-seed evaluations plus per-cell accuracies and band verdicts."""
 
     seeds: list[int]
-    reports: dict        # (table, seed, row index) -> (train_variant, EvalReport)
-    cells: dict          # cell tuple -> {seed: accuracy}
-    verdicts: list       # dicts: cell/value/band/inside
+    reports: dict  # (table, seed, index into TABLE_ROWS[table]) -> EvalReport
+    cells: dict = field(init=False)     # cell tuple -> {seed: accuracy}
+    verdicts: list = field(init=False)  # dicts: cell/value/band/paper/inside
+
+    def __post_init__(self):
+        self.cells = {}
+        for seed, cell, value in self._accuracies(self.reports.items()):
+            self.cells.setdefault(cell, {})[seed] = value
+        self.verdicts = grade_bands(self)
+
+    @staticmethod
+    def _accuracies(reports):
+        """(seed, cell, accuracy) on X_test and on -X_test for every report."""
+        for (table, seed, idx), report in reports:
+            bias, features, variant = TABLE_ROWS[table][idx]
+            row = (table, "bias" if bias else "no_bias", features, variant)
+            yield seed, row + ("X_test",), report.R
+            yield seed, row + ("-X_test",), report.R_bar
 
     def csv_rows(self) -> list[dict]:
-        out = []
-        for (table, seed, _idx), (variant, report) in sorted(self.reports.items()):
-            def row(test_set, value):
-                return {
-                    "table": table,
-                    "bias_mode": "bias" if report.bias_mode else "no_bias",
-                    "features": report.feature_map_name,
-                    "train_set": variant,
-                    "test_set": test_set,
-                    "seed": seed,
-                    "accuracy": value,
-                }
-            out.append(row("X_test", report.R))
-            if table == "table1":
-                out.append(row("-X_test", report.R_bar))
-        return out
+        """One row per seed and published cell (a key of CELLS)."""
+        return [dict(zip(CSV_FIELDS, (*cell, seed, value)))
+                for seed, cell, value in self._accuracies(sorted(self.reports.items()))
+                if cell in CELLS]
 
     def write_csv(self, path) -> None:
-        rows = self.csv_rows()
         with open(path, "w", newline="", encoding="ascii") as f:
-            writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
+            writer = csv.DictWriter(f, fieldnames=CSV_FIELDS)
             writer.writeheader()
-            writer.writerows(rows)
+            writer.writerows(self.csv_rows())
 
     def cell_mean(self, cell: tuple) -> float:
         return float(np.mean(list(self.cells[cell].values())))
@@ -235,20 +239,14 @@ class TablesReport:
             "cell_means": {"/".join(k): self.cell_mean(k) for k in sorted(self.cells)},
             "cell_spreads": {"/".join(k): self.cell_spread(k) for k in sorted(self.cells)},
             "verdicts": self.verdicts,
-            "reports": [r.to_dict() for _, (_, r) in sorted(self.reports.items())],
+            "reports": [r.to_dict() for _, r in sorted(self.reports.items())],
         }
-
-
-def _run_cell_job(args) -> tuple:
-    """Worker for one (table, seed, row) training; top level for pickling."""
-    table, seed, idx, row, train_ds, test_ds = args
-    return (table, seed, idx), (row.train_variant, run_row(row, train_ds, test_ds))
 
 
 def reproduce_tables(augmented: Dataset, seeds, config: TrainConfig | None = None,
                      tables=("table1", "table2"), test_fraction: float = 0.25,
                      jobs: int = 1) -> TablesReport:
-    """Train and evaluate every table cell for each seed.
+    """Train and evaluate every row of the given tables for each seed.
 
     The seed controls the origin-group split, the parameter init, the
     epoch shuffles, and (for PermutationProduct) the permutation.  Cells
@@ -259,86 +257,38 @@ def reproduce_tables(augmented: Dataset, seeds, config: TrainConfig | None = Non
         raise ValueError("need at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"duplicate seeds in {seeds}")
+    if not tables or not set(tables) <= set(TABLE_ROWS):
+        raise ValueError(f"tables must be a non-empty subset of {sorted(TABLE_ROWS)}, "
+                         f"got {tables!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     config = config or TrainConfig()
-    jobs_list = []
+    keys, row_args = [], []
     for seed in seeds:
         train_ds, test_ds = split(augmented, test_fraction=test_fraction, seed=seed)
         train_ds = Dataset(train_ds.pixels, train_ds.labels, train_ds.origin_ids, name="X_train")
         test_ds = Dataset(test_ds.pixels, test_ds.labels, test_ds.origin_ids, name="X_test")
-        if "table1" in tables:
-            for idx, row in enumerate(table1_rows(seed, config)):
-                jobs_list.append(("table1", seed, idx, row, train_ds, test_ds))
-        if "table2" in tables:
-            for idx, row in enumerate(table2_rows(seed, config)):
-                jobs_list.append(("table2", seed, idx, row, train_ds, test_ds))
+        for table in (t for t in TABLE_ROWS if t in tables):
+            for idx, (bias, features, variant) in enumerate(TABLE_ROWS[table]):
+                keys.append((table, seed, idx))
+                row_args.append((replace(config, seed=seed, use_bias=bias),
+                             feature_map_from_name(features, seed), variant, train_ds, test_ds))
 
-    # never more worker processes than CPUs or cells: a pool forks all of
+    # never more worker processes than CPUs or rows: a pool forks all of
     # its workers at the first submit
-    workers = min(jobs, os.cpu_count() or 1, len(jobs_list))
+    workers = min(jobs, os.cpu_count() or 1, len(row_args))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_run_cell_job, jobs_list))
+            results = list(pool.map(run_row, *zip(*row_args)))
     else:
-        results = dict(map(_run_cell_job, jobs_list))
-
-    cells: dict = {}
-    for (table, seed, idx), (variant, report) in results.items():
-        bias = "bias" if report.bias_mode else "no_bias"
-        key_r = (table, bias, report.feature_map_name, variant, "X_test")
-        cells.setdefault(key_r, {})[seed] = report.R
-        key_rb = (table, bias, report.feature_map_name, variant, "-X_test")
-        cells.setdefault(key_rb, {})[seed] = report.R_bar
-    report = TablesReport(seeds=seeds, reports=results, cells=cells, verdicts=[])
-    report.verdicts = grade_bands(report, tables)
-    return report
+        results = list(map(run_row, *zip(*row_args)))
+    return TablesReport(seeds, dict(zip(keys, results)))
 
 
 # ---------------------------------------------------------------------------
-# acceptance bands (the paper omits all training hyperparameters, so cells
-# are graded against bands rather than the exact published numbers)
+# acceptance bands
 # ---------------------------------------------------------------------------
-
-PAPER_VALUES = {
-    ("table1", "no_bias", "identity", "X_train", "X_test"): 0.84,
-    ("table1", "no_bias", "identity", "X_train", "-X_test"): 0.001,
-    ("table1", "no_bias", "identity", "pmX_train", "X_test"): 0.12,
-    ("table1", "no_bias", "identity", "pmX_train", "-X_test"): 0.09,
-    ("table1", "bias", "identity", "X_train", "X_test"): 0.81,
-    ("table1", "bias", "identity", "X_train", "-X_test"): 0.02,
-    ("table1", "bias", "identity", "pmX_train", "X_test"): 0.68,
-    ("table1", "bias", "identity", "pmX_train", "-X_test"): 0.69,
-    ("table2", "no_bias", "square", "X_train", "X_test"): 0.65,
-    ("table2", "no_bias", "neighbor", "X_train", "X_test"): 0.84,
-    ("table2", "no_bias", "perm", "X_train", "X_test"): 0.81,
-    ("table2", "bias", "square", "X_train", "X_test"): 0.66,
-    ("table2", "bias", "neighbor", "X_train", "X_test"): 0.87,
-    ("table2", "bias", "perm", "X_train", "X_test"): 0.82,
-}
-
-# cell -> (low, high) on the across-seed mean; None means unbounded
-TABLE1_MEAN_BANDS = {
-    ("table1", "no_bias", "identity", "X_train", "X_test"): (0.75, None),
-    ("table1", "no_bias", "identity", "X_train", "-X_test"): (None, 0.05),
-    ("table1", "bias", "identity", "X_train", "X_test"): (0.72, None),
-    ("table1", "bias", "identity", "X_train", "-X_test"): (None, 0.10),
-    ("table1", "bias", "identity", "pmX_train", "X_test"): (0.55, 0.80),
-    ("table1", "bias", "identity", "pmX_train", "-X_test"): (0.55, 0.80),
-    ("table1", "no_bias", "identity", "pmX_train", "X_test"): (None, 0.55),
-    ("table1", "no_bias", "identity", "pmX_train", "-X_test"): (None, 0.55),
-}
-
-TABLE2_MEAN_BANDS = {
-    ("table2", "no_bias", "square", "X_train", "X_test"): (0.50, 0.75),
-    ("table2", "no_bias", "neighbor", "X_train", "X_test"): (0.78, None),
-    ("table2", "no_bias", "perm", "X_train", "X_test"): (0.72, None),
-    # with-bias bands: same lower edges, upper edges +0.05
-    ("table2", "bias", "square", "X_train", "X_test"): (0.50, 0.80),
-    ("table2", "bias", "neighbor", "X_train", "X_test"): (0.78, None),
-    ("table2", "bias", "perm", "X_train", "X_test"): (0.72, None),
-}
 
 NEIGHBOR_OVER_SQUARE_MARGIN = 0.08
 PM_TRAIN_GAP_LIMIT = 0.10
@@ -352,51 +302,40 @@ def _band_text(low, high) -> str:
     return f"in [{low}, {high}]"
 
 
-def grade_bands(report: TablesReport, tables=("table1", "table2")) -> list:
-    """Grade every cell of the computed tables against its band."""
+def grade_bands(report: TablesReport) -> list:
+    """Grade the published cells of the report's tables against their bands,
+    then check each table's exact and ordering statements."""
+    tables = {table for table, _, _ in report.reports}
     verdicts = []
 
-    def add(cell, value, band, inside):
-        verdicts.append({
-            "cell": "/".join(cell) if isinstance(cell, tuple) else cell,
-            "value": value,
-            "band": band,
-            "paper": PAPER_VALUES.get(cell),
-            "inside": bool(inside),
-        })
+    def add(cell, value, band, inside, paper=None):
+        verdicts.append({"cell": cell, "value": value, "band": band,
+                         "paper": paper, "inside": bool(inside)})
 
-    mean_bands = {}
-    if "table1" in tables:
-        mean_bands.update(TABLE1_MEAN_BANDS)
-    if "table2" in tables:
-        mean_bands.update(TABLE2_MEAN_BANDS)
-    for cell, (low, high) in mean_bands.items():
-        value = report.cell_mean(cell)
-        ok = (low is None or value >= low) and (high is None or value <= high)
-        add(cell, value, f"mean {_band_text(low, high)}", ok)
+    for cell, (paper, low, high) in CELLS.items():
+        if cell[0] in tables:
+            value = report.cell_mean(cell)
+            ok = (low is None or value >= low) and (high is None or value <= high)
+            add("/".join(cell), value, f"mean {_band_text(low, high)}", ok, paper)
 
     if "table1" in tables:
         # |R - Rbar| on the symmetrized with-bias row
-        r = report.cell_mean(("table1", "bias", "identity", "pmX_train", "X_test"))
-        rb = report.cell_mean(("table1", "bias", "identity", "pmX_train", "-X_test"))
-        add("table1/bias/identity/pmX_train/|R-Rbar|", abs(r - rb),
-            f"mean <= {PM_TRAIN_GAP_LIMIT}", abs(r - rb) <= PM_TRAIN_GAP_LIMIT)
+        row = ("table1", "bias", "identity", "pmX_train")
+        gap = abs(report.cell_mean(row + ("X_test",)) - report.cell_mean(row + ("-X_test",)))
+        add("/".join(row) + "/|R-Rbar|", gap,
+            f"mean <= {PM_TRAIN_GAP_LIMIT}", gap <= PM_TRAIN_GAP_LIMIT)
         # exact theorem on the no-bias symmetrized row, per seed
-        sums = [
-            report.cells[("table1", "no_bias", "identity", "pmX_train", "X_test")][s]
-            + report.cells[("table1", "no_bias", "identity", "pmX_train", "-X_test")][s]
-            for s in report.seeds
-        ]
-        add("table1/no_bias/identity/pmX_train/R+Rbar", max(sums),
+        row = ("table1", "no_bias", "identity", "pmX_train")
+        sums = [report.cells[row + ("X_test",)][s] + report.cells[row + ("-X_test",)][s]
+                for s in report.seeds]
+        add("/".join(row) + "/R+Rbar", max(sums),
             "<= 1 exactly, every seed", all(v <= 1.0 for v in sums))
 
     if "table2" in tables:
         # invariant features: identical accuracy on X_test and -X_test, every seed
-        exact = True
-        for cell, by_seed in report.cells.items():
-            if cell[0] == "table2" and cell[4] == "X_test":
-                inv = report.cells[cell[:4] + ("-X_test",)]
-                exact &= all(by_seed[s] == inv[s] for s in report.seeds)
+        exact = all(by_seed[s] == report.cells[cell[:4] + ("-X_test",)][s]
+                    for cell, by_seed in report.cells.items()
+                    if cell[0] == "table2" and cell[4] == "X_test" for s in report.seeds)
         add("table2/*/R==Rbar", float(exact), "bit-exact, every cell and seed", exact)
         # ordering: neighbor beats square by the margin in every seed
         for bias in ("no_bias", "bias"):

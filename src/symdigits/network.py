@@ -281,8 +281,7 @@ class TrainResult:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence raises TrainingDiverged
-def train(config: TrainConfig, features, labels,
-          hidden_dims=PAPER_HIDDEN_DIMS, n_classes: int = N_CLASSES) -> TrainResult:
+def train(config: TrainConfig, features, labels) -> TrainResult:
     """Mini-batch SGD with momentum; bit-deterministic per (seed, data order).
 
     ``features`` is the (n, d) output of a feature map and ``labels`` the n
@@ -305,10 +304,10 @@ def train(config: TrainConfig, features, labels,
         raise ValueError("training set is empty")
     if config.batch_size > n:
         raise ValueError(f"batch_size {config.batch_size} exceeds dataset size {n}")
-    if y.min() < 0 or y.max() >= n_classes:
-        raise ValueError(f"label outside 0..{n_classes - 1}")
+    if y.min() < 0 or y.max() >= N_CLASSES:
+        raise ValueError(f"label outside 0..{N_CLASSES - 1}")
     rng = np.random.default_rng(config.seed)
-    init = init_mlp((X.shape[1], *hidden_dims, n_classes), config.use_bias, rng)
+    init = init_mlp((X.shape[1], *PAPER_HIDDEN_DIMS, N_CLASSES), config.use_bias, rng)
     params, layers = _flatten(init.layers)
     mlp = Mlp(layers)
     vel = np.zeros_like(params)

@@ -309,6 +309,16 @@ def test_malformed_csv_exits_one_naming_file_and_line(tmp_path, bad_line, where)
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("samples", ["0", "-5", "99999"])
+def test_sampled_loss_samples_outside_the_corpus_exit_one(tmp_path, samples):
+    out = tmp_path / "out"
+    proc = run_process("probe", "sampled-loss", "--samples", samples, "--trials", "2",
+                       "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: --samples must be in 1..1797, got {samples}\n"
+    assert not (out / "manifest.json").exists()
+
+
 def test_outputs_are_idempotent_except_manifest(tmp_path, small_csv):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

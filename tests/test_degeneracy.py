@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import symdigits.degeneracy as degeneracy
 from symdigits.degeneracy import (ROTATION_GENERATOR, SampledLossReport,
                                   dataset_is_inversion_closed,
                                   generator_curvature, generator_curvature_sweep,
@@ -155,6 +156,8 @@ def test_sampled_loss_validation():
         sampled_loss_expectation(mlp, ds, inversion_group(), mu=0.0, trials=5)
     with pytest.raises(ValueError):
         sampled_loss_expectation(mlp, ds, inversion_group(), mu=0.5, trials=0)
+    with pytest.raises(ValueError, match="empty"):
+        sampled_loss_expectation(mlp, image_dataset(n=0), inversion_group(), mu=0.5, trials=5)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +314,52 @@ def test_smallest_eigenvalue_estimate_matches_dense_hessian():
     dense = float(np.linalg.eigvalsh(toy_hessian(task, w))[0])
     estimate = smallest_hessian_eigenvalue(task, w)
     assert abs(estimate - dense) / max(abs(dense), 1e-9) < 1e-3
+
+
+def reference_smallest_hessian_eigenvalue(task, w):
+    """Both power iterations for all 200 steps, with no early stop."""
+    def hessian(v):
+        return (toy_gradient(task, w + 1e-6 * v) - toy_gradient(task, w - 1e-6 * v)) / 2e-6
+
+    rng = np.random.default_rng(0)
+    v = rng.normal(size=2)
+    v /= np.linalg.norm(v)
+    lam_max = 0.0
+    for _ in range(200):
+        hv = hessian(v)
+        norm = np.linalg.norm(hv)
+        if norm == 0.0:
+            break
+        lam_max = float(v @ hv)
+        v = hv / norm
+    shift = abs(lam_max) * 1.05 + 1.0
+    v = rng.normal(size=2)
+    v /= np.linalg.norm(v)
+    mu = 0.0
+    for _ in range(200):
+        bv = shift * v - hessian(v)
+        norm = np.linalg.norm(bv)
+        if norm == 0.0:
+            break
+        mu = float(v @ bv)
+        v = bv / norm
+    return shift - mu
+
+
+@pytest.mark.parametrize("n", [4, 16, 64, 360])
+def test_power_iteration_stops_at_its_fixed_point_with_the_same_bits(monkeypatch, n):
+    task = make_toy_task(n)
+    w = train_toy(task)
+    calls = []
+
+    def counted(task, w):
+        calls.append(1)
+        return toy_gradient(task, w)
+
+    monkeypatch.setattr(degeneracy, "toy_gradient", counted)
+    estimate = smallest_hessian_eigenvalue(task, w)
+    assert estimate == reference_smallest_hessian_eigenvalue(task, w)
+    assert len(calls) < 2 * 2 * 200  # the first iteration reached its fixed point
 
 
 def test_group_order_validation():

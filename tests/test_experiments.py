@@ -4,12 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from symdigits.digits import Dataset, invert_dataset
-from symdigits.experiments import (RowSpec, TablesReport, accuracy, bound_check,
-                                   evaluate, reproduce_tables, run_row,
-                                   table1_rows, table2_rows)
-from symdigits.features import Identity, NeighborProduct, Square
-from symdigits.network import Layer, Mlp, TrainConfig, init_mlp
+from symdigits.digits import Dataset, augment_shifts, invert_dataset, split, symmetrize
+from symdigits.experiments import (CELLS, CSV_FIELDS, TABLE_ROWS, accuracy, bound_check,
+                                   evaluate, reproduce_tables, run_row)
+from symdigits.features import Identity, NeighborProduct, PermutationProduct, Square
+from symdigits.network import Layer, Mlp, TrainConfig, init_mlp, train
 
 
 def zero_model():
@@ -100,8 +99,8 @@ def test_correct_on_x_implies_wrong_on_inverted_x(small_splits, quick_config):
 def test_run_row_trains_and_reports(small_splits):
     train_ds, test_ds = small_splits
     config = TrainConfig(seed=0, epochs=8)
-    row = RowSpec(False, Identity(), "X_train", config)
-    report = run_row(row, train_ds, test_ds)
+    report = run_row(config, Identity(), "X_train", train_ds, test_ds)
+    assert report.model_id == "nobias-identity-X_train-seed0"
     assert report.sample_counts["train"] == len(train_ds)
     assert report.bound_holds is True
     assert 0.0 <= report.R <= 1.0
@@ -110,47 +109,80 @@ def test_run_row_trains_and_reports(small_splits):
 def test_run_row_symmetrized_variant_doubles_training_set(small_splits):
     train_ds, test_ds = small_splits
     config = TrainConfig(seed=0, epochs=4)
-    report = run_row(RowSpec(False, Identity(), "pmX_train", config), train_ds, test_ds)
+    report = run_row(config, Identity(), "pmX_train", train_ds, test_ds)
     assert report.sample_counts["train"] == 2 * len(train_ds)
     assert report.train_set_name.startswith("+-")
 
 
-def test_row_spec_rejects_unknown_variant():
-    with pytest.raises(ValueError):
-        RowSpec(False, Identity(), "Y_train", TrainConfig())
+def test_run_row_rejects_unknown_variant(small_splits):
+    with pytest.raises(ValueError, match="train_variant"):
+        run_row(TrainConfig(), Identity(), "Y_train", *small_splits)
 
 
 def test_table_row_definitions():
-    rows1 = table1_rows(0, TrainConfig())
+    rows1 = TABLE_ROWS["table1"]
     assert len(rows1) == 4
-    assert all(isinstance(r.feature_map, Identity) for r in rows1)
-    rows2 = table2_rows(0, TrainConfig())
+    assert all(features == "identity" for _, features, _ in rows1)
+    rows2 = TABLE_ROWS["table2"]
     assert len(rows2) == 6
-    assert all(r.train_variant == "X_train" for r in rows2)
+    assert all(variant == "X_train" for _, _, variant in rows2)
 
 
-def test_reproduce_tables_single_seed_emits_14_rows(corpus):
-    # tiny epoch budget: exercises plumbing, not the acceptance bands
-    from symdigits.digits import augment_shifts
+@pytest.fixture(scope="module")
+def head_tables(corpus):
+    """Both tables for seed 1 at 2 epochs on a 300-origin slice: the
+    augmented slice and the report.  Seed 1, not 0, so that a row which
+    missed the seed would train with the default seed 0 and show."""
     head = Dataset(corpus.pixels[:300], corpus.labels[:300],
                    corpus.origin_ids[:300], name="head")
     augmented = augment_shifts(head)
-    report = reproduce_tables(augmented, seeds=[0], config=TrainConfig(epochs=2))
+    return augmented, reproduce_tables(augmented, seeds=[1], config=TrainConfig(epochs=2))
+
+
+def test_reproduce_tables_single_seed_emits_14_rows(head_tables):
+    # tiny epoch budget: exercises plumbing, not the acceptance bands
+    _, report = head_tables
     rows = report.csv_rows()
     assert len(rows) == 14  # 8 table-1 cells + 6 table-2 rows
     assert {r["table"] for r in rows} == {"table1", "table2"}
     # invariant-feature cells evaluate identically on the inverted test set
     for cell, by_seed in report.cells.items():
         if cell[0] == "table2" and cell[4] == "X_test":
-            assert by_seed[0] == report.cells[cell[:4] + ("-X_test",)][0]
+            assert by_seed[1] == report.cells[cell[:4] + ("-X_test",)][1]
     payload = report.to_dict()
     assert set(payload) >= {"seeds", "cells", "cell_means", "verdicts", "reports"}
+    # one CSV row per published cell, and no other
+    assert sorted(tuple(r[k] for k in CSV_FIELDS[:5]) for r in rows) == sorted(CELLS)
+    assert all(r["accuracy"] == report.cells[tuple(r[k] for k in CSV_FIELDS[:5])][1]
+               for r in rows)
+
+
+def test_reproduce_tables_cells_equal_an_independent_loop(head_tables):
+    augmented, report = head_tables
+    train_ds, test_ds = split(augmented, test_fraction=0.25, seed=1)
+    rows = [("table1", bias, Identity(), symmetrized)
+            for bias in (False, True) for symmetrized in (False, True)]
+    rows += [("table2", bias, feature_map, False) for bias in (False, True)
+             for feature_map in (Square(), NeighborProduct(), PermutationProduct(1))]
+    expected = {}
+    for table, bias, feature_map, symmetrized in rows:
+        effective = symmetrize(train_ds) if symmetrized else train_ds
+        result = train(TrainConfig(seed=1, epochs=2, use_bias=bias),
+                       feature_map.apply(effective.pixels), effective.labels)
+        cell = (table, "bias" if bias else "no_bias", feature_map.name,
+                "pmX_train" if symmetrized else "X_train")
+        expected[cell + ("X_test",)] = {1: accuracy(result.mlp, feature_map, test_ds)[0]}
+        expected[cell + ("-X_test",)] = {
+            1: accuracy(result.mlp, feature_map, invert_dataset(test_ds))[0]}
+    assert report.cells == expected
 
 
 @pytest.mark.parametrize("kwargs, match", [
     ({"seeds": [0, 1, 0]}, "duplicate seeds"),
     ({"seeds": [0], "jobs": 0}, "jobs must be >= 1"),
-], ids=["duplicate-seeds", "zero-jobs"])
+    ({"seeds": [0], "tables": ("table3",)}, "tables must be"),
+    ({"seeds": [0], "tables": ()}, "tables must be"),
+], ids=["duplicate-seeds", "zero-jobs", "unknown-table", "no-table"])
 def test_reproduce_tables_rejects_bad_inputs(corpus, kwargs, match):
     with pytest.raises(ValueError, match=match):
         reproduce_tables(corpus, config=TrainConfig(epochs=1), **kwargs)
@@ -162,7 +194,6 @@ def test_reproduce_tables_rejects_bad_inputs(corpus, kwargs, match):
     (None, 8, None),   # unknown CPU count: one process, no pool
 ], ids=["cpus", "cells", "unknown-cpus"])
 def test_reproduce_tables_caps_worker_processes(monkeypatch, corpus, cpus, jobs, workers):
-    from symdigits.digits import augment_shifts
     started = []
 
     class InlinePool:  # records the pool size and runs the cells in this process
@@ -175,8 +206,8 @@ def test_reproduce_tables_caps_worker_processes(monkeypatch, corpus, cpus, jobs,
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -189,7 +220,6 @@ def test_reproduce_tables_caps_worker_processes(monkeypatch, corpus, cpus, jobs,
 
 
 def test_reproduce_tables_csv_output(tmp_path, corpus):
-    from symdigits.digits import augment_shifts
     head = Dataset(corpus.pixels[:200], corpus.labels[:200],
                    corpus.origin_ids[:200], name="head")
     report = reproduce_tables(augment_shifts(head), seeds=[0, 1],

@@ -1,0 +1,61 @@
+"""The benchmark's tracer (perfbench/tracer.py) wraps symdigits functions and
+feature-map classes by name.  The benchmark itself is not part of this
+suite, so these tests check here that every name it wraps still resolves
+and that its hooks still read the arguments they expect."""
+
+import importlib
+import importlib.util
+import math
+from pathlib import Path
+
+import symdigits.experiments as experiments
+import symdigits.features as features
+from symdigits.features import Identity
+from symdigits.network import TrainConfig
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves_and_is_wrapped_then_restored():
+    tracer_module = load_tracer_module()
+    names = [(module, name)
+             for table in (tracer_module.SPAN_FUNCTIONS, tracer_module.LEAF_FUNCTIONS)
+             for module, functions in table.items() for name in functions]
+    originals = {key: getattr(importlib.import_module(f"symdigits.{key[0]}"), key[1])
+                 for key in names}
+    applies = {cls: vars(getattr(features, cls))["apply"]
+               for cls in tracer_module.FEATURE_CLASSES}
+    tracer = tracer_module.Tracer().install()
+    try:
+        for (module, name), original in originals.items():
+            assert getattr(importlib.import_module(f"symdigits.{module}"),
+                           name).__wrapped__ is original, f"{module}.{name}"
+        for cls, original in applies.items():
+            assert vars(getattr(features, cls))["apply"].__wrapped__ is original, cls
+    finally:
+        tracer.uninstall()
+    for (module, name), original in originals.items():
+        assert getattr(importlib.import_module(f"symdigits.{module}"), name) is original
+    for cls, original in applies.items():
+        assert vars(getattr(features, cls))["apply"] is original
+
+
+def test_traced_table_row_counts_one_training_and_its_steps(small_splits):
+    train_ds, test_ds = small_splits
+    tracer = load_tracer_module().Tracer().install()
+    try:
+        experiments.run_row(TrainConfig(epochs=2), Identity(), "X_train", train_ds, test_ds)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["experiments.run_row.calls"] == 1
+    assert metrics["network.train.calls"] == 1
+    assert metrics["network.train.steps"] == 2 * math.ceil(len(train_ds) / 32)
+    assert metrics["features.identity.apply.calls"] == 3  # train, X_test, -X_test
