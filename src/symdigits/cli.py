@@ -29,8 +29,8 @@ from . import __version__
 from .degeneracy import (generator_curvature_sweep, make_toy_task,
                          orbit_loss_scan, sampled_loss_expectation, train_toy,
                          weight_orbit_invariance, weight_flip_deviation)
-from .digits import (Dataset, augment_shifts, bundled_data_path, dataset_stats,
-                     invert_dataset, load_dataset, pixels_to_gray_levels,
+from .digits import (Dataset, augment_shifts, bundled_data_path, class_counts,
+                     dataset_stats, invert_dataset, load_dataset, pixels_to_gray_levels,
                      render_image, split, symmetrize)
 from .experiments import CELLS, bound_check, evaluate, format_verdicts, reproduce_tables
 from .features import (Identity, NeighborProduct, feature_map_from_name,
@@ -174,7 +174,8 @@ def cmd_data(args, resolved, out):
         ds = load_dataset(_data_path(resolved))
         target = out / "optdigits.csv"
         shutil.copyfile(_data_path(resolved), target)
-        print(f"validated {len(ds)} images, {len(np.unique(ds.labels))} classes -> {target}")
+        print(f"validated {len(ds)} images, {np.count_nonzero(class_counts(ds))} classes "
+              f"-> {target}")
     elif args.what == "stats":
         ds = load_dataset(_data_path(resolved))
         stats = dataset_stats(ds)
@@ -349,7 +350,7 @@ def _probe_orbit(args, resolved, out):
 
 
 def _probe_goldstone(args, resolved, out):
-    sweep_ns = (4, 16, 64, resolved["n"]) if resolved["n"] > 64 else (4, 16, 64)
+    sweep_ns = tuple(k for k in (4, 16, 64) if k < resolved["n"]) + (resolved["n"],)
     reports = generator_curvature_sweep(sweep_ns, seed=resolved["seed"])
     curvatures = [r.generator_curvature for r in reports]
     final = reports[-1]
@@ -418,12 +419,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="held-out origin fraction (default 0.25)")
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
     bias = p.add_mutually_exclusive_group()
     bias.add_argument("--bias", dest="bias", action="store_true", default=None)
     bias.add_argument("--no-bias", dest="bias", action="store_false", default=None)
     p.add_argument("--features", choices=["identity", "square", "neighbor", "perm"])
     p.add_argument("--perm-seed", dest="perm_seed", type=int)
+
+
+def _add_sgd_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--batch", type=int)
@@ -452,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one model, save it with its feature map")
     _add_common(p)
-    _add_train_flags(p)
+    _add_model_flags(p)
+    _add_sgd_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a saved model on the test split")
@@ -465,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="rebuild the accuracy tables or figure")
     p.add_argument("what", choices=["table1", "table2", "figure1"])
     _add_common(p)
-    _add_train_flags(p)
+    _add_sgd_flags(p)  # the table rows fix the bias mode and the feature maps
     p.add_argument("--seeds", help="comma-separated seeds (default 0,1,2,3,4)")
     p.add_argument("--jobs", type=int, help="parallel table cells (default 1)")
     p.set_defaults(func=cmd_reproduce)

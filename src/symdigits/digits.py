@@ -9,10 +9,12 @@ path.  Pixels are used scaled to [-1, 1] everywhere downstream.
 from __future__ import annotations
 
 import importlib.resources
+import io
+import warnings
 
 import numpy as np
 
-from .features import GRID, N_PIXELS, inversion, shift
+from .features import GRID, N_PIXELS, SHIFT_FILL, inversion, shift
 from .network import as_integers
 
 RAW_MAX = 16
@@ -20,6 +22,10 @@ N_CLASSES = 10
 
 # order matters: original, right, left, down, up
 AUGMENT_SHIFTS = [shift(0, 0), shift(1, 0), shift(-1, 0), shift(0, 1), shift(0, -1)]
+# the five shifts as one gather: an image's 5*64 output pixels in order, and
+# the vacated ones among them (shifts are unsigned, so no sign to apply)
+_AUGMENT_INDEX = np.concatenate([s.index for s in AUGMENT_SHIFTS])
+_AUGMENT_VACATED = np.flatnonzero(_AUGMENT_INDEX == -1)
 
 
 class Dataset:
@@ -69,7 +75,38 @@ def unscale(x):
 
 def load_optdigits(path) -> tuple[np.ndarray, np.ndarray]:
     """Read an optdigits CSV: 65 comma-separated integers per line
-    (64 raw pixels in 0..16, then the label).  Returns (raw, labels)."""
+    (64 raw pixels in 0..16, then the label).  Returns (raw, labels).
+
+    A canonical file (only digits, commas and newlines, every value in
+    range) is parsed in one vectorised pass; anything else goes through
+    the line parser, the one path that names a faulty line.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    return _parse_canonical(data) or _parse_lines(path)
+
+
+def _parse_canonical(data: bytes):
+    """(raw, labels) of a canonical file, or None for any other (the line
+    parser then accepts it as always, or names the faulty line)."""
+    if data.translate(None, b"0123456789,\n"):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # loadtxt's "input contained no data"
+        try:
+            table = np.loadtxt(io.BytesIO(data), delimiter=",", dtype=np.int64,
+                               comments=None, ndmin=2)
+        except (ValueError, OverflowError, UserWarning):
+            return None
+    if table.shape[1] != N_PIXELS + 1:
+        return None
+    raw, labels = table[:, :N_PIXELS], table[:, N_PIXELS]
+    if raw.min() < 0 or raw.max() > RAW_MAX or labels.min() < 0 or labels.max() >= N_CLASSES:
+        return None
+    return np.ascontiguousarray(raw), np.ascontiguousarray(labels)
+
+
+def _parse_lines(path) -> tuple[np.ndarray, np.ndarray]:
     raw_rows, labels = [], []
     with open(path, "r", encoding="ascii") as f:
         for lineno, line in enumerate(f, start=1):
@@ -116,9 +153,9 @@ def augment_shifts(ds: Dataset) -> Dataset:
     """Enlarge by a factor of 5: each image plus its four 1-pixel shifts
     (right, left, down, up), background filled with -1.  Copies keep the
     origin_id of their source image."""
-    n = len(ds)
-    shifted = np.stack([s.apply(ds.pixels) for s in AUGMENT_SHIFTS], axis=1)  # (n, 5, 64)
-    pixels = shifted.reshape(5 * n, N_PIXELS)
+    shifted = np.take(ds.pixels, _AUGMENT_INDEX, axis=1)  # (n, 5 * 64)
+    shifted[:, _AUGMENT_VACATED] = SHIFT_FILL
+    pixels = shifted.reshape(5 * len(ds), N_PIXELS)
     labels = np.repeat(ds.labels, 5)
     origins = np.repeat(ds.origin_ids, 5)
     return ds.derive(pixels, labels, origins, name=ds.name + "+shifts",
@@ -141,6 +178,15 @@ def invert_dataset(ds: Dataset) -> Dataset:
                      name="-" + ds.name, step="inverted every image")
 
 
+def _distinct_sorted(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) for a 1-D array, without np.unique's import of numpy.ma."""
+    values = np.sort(values)
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
 def split(ds: Dataset, test_fraction: float = 0.25, seed: int = 0) -> tuple[Dataset, Dataset]:
     """Deterministic train/test split on origin_id groups.
 
@@ -150,7 +196,7 @@ def split(ds: Dataset, test_fraction: float = 0.25, seed: int = 0) -> tuple[Data
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    origins = np.unique(ds.origin_ids)
+    origins = _distinct_sorted(ds.origin_ids)
     n_test = int(np.floor(test_fraction * len(origins)))
     if n_test == 0 or n_test == len(origins):
         raise ValueError("split would leave one side empty")

@@ -172,6 +172,29 @@ def test_probe_goldstone_small(tmp_path):
     assert [r["n"] for r in payload["sweep"]] == [4, 16, 64]
 
 
+@pytest.mark.parametrize("n, sweep, code", [("10", [4, 10], 2), ("32", [4, 16, 32], 0)])
+def test_probe_goldstone_sweep_ends_at_requested_n(tmp_path, n, sweep, code):
+    out = tmp_path / "gold"
+    assert run("probe", "goldstone", "--n", n, "--out", str(out)) == code
+    payload = json.loads((out / "probe_goldstone.json").read_text())
+    assert [r["n"] for r in payload["sweep"]] == sweep
+    # the final checks grade the requested order; C_10 is far from the
+    # continuous limit, so its curvature ratio fails the 0.01 check
+    assert payload["curvature_ratio"] == payload["sweep"][-1]["curvature_ratio"]
+    assert payload["passed"] is (code == 0)
+    assert (payload["curvature_ratio"] > 0.01) is (n == "10")
+
+
+@pytest.mark.parametrize("flag", [["--bias"], ["--features", "square"], ["--perm-seed", "7"]],
+                         ids=["bias", "features", "perm-seed"])
+def test_reproduce_rejects_flags_the_table_rows_fix(tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    assert run("reproduce", "table2", *flag, "--seeds", "0", "--epochs", "1",
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"error: unrecognized arguments: {flag[0]}")
+    assert not (out / "manifest.json").exists()
+
+
 def test_probe_sampled_loss_mu_one_exact(tmp_path, small_csv):
     out = tmp_path / "sl"
     assert run("probe", "sampled-loss", "--data", small_csv, "--mu", "1.0",

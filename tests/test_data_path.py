@@ -1,0 +1,229 @@
+"""The data path every data-reading command runs: CSV parse, shift
+augmentation and split, pinned against straightforward references."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import symdigits
+from symdigits.digits import (AUGMENT_SHIFTS, Dataset, _distinct_sorted, _parse_canonical,
+                              augment_shifts, bundled_data_path, load_optdigits, split)
+
+from conftest import random_images
+
+
+def reference_load(path):
+    """The line-by-line optdigits parser the vectorised one must agree with."""
+    raw_rows, labels = [], []
+    with open(path, "r", encoding="ascii") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 65:
+                raise ValueError(f"{path}: line {lineno}: expected 65 fields, got {len(parts)}")
+            try:
+                values = [int(p) for p in parts]
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: non-integer field") from None
+            row, label = values[:64], values[64]
+            if min(row) < 0 or max(row) > 16:
+                raise ValueError(f"{path}: line {lineno}: pixel value outside 0..16")
+            if not 0 <= label < 10:
+                raise ValueError(f"{path}: line {lineno}: label {label} outside 0..9")
+            raw_rows.append(row)
+            labels.append(label)
+    if not raw_rows:
+        raise ValueError(f"{path}: empty dataset file")
+    return np.array(raw_rows, dtype=np.int64), np.array(labels, dtype=np.int64)
+
+
+def outcome(load, path):
+    try:
+        raw, labels = load(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    assert raw.dtype == labels.dtype == np.int64
+    assert raw.flags.c_contiguous and labels.flags.c_contiguous
+    return "ok", raw.tolist(), labels.tolist()
+
+
+def assert_same_outcome(path):
+    assert outcome(load_optdigits, path) == outcome(reference_load, path)
+
+
+# ---------------------------------------------------------------------------
+# CSV parse
+# ---------------------------------------------------------------------------
+
+rows = st.lists(st.tuples(st.lists(st.integers(0, 16), min_size=64, max_size=64),
+                          st.integers(0, 9)),
+                min_size=1, max_size=50)
+
+
+@st.composite
+def canonical_files(draw):
+    """Text of a canonical optdigits file: digits, commas and newlines only."""
+    lines = [",".join(map(str, [*pixels, label])) for pixels, label in draw(rows)]
+    for _ in range(draw(st.integers(0, 3))):  # blank lines anywhere
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    return "\n".join(lines) + ("\n" if draw(st.booleans()) else "")
+
+
+def _replace_field(text, line, field, value):
+    lines = text.split("\n")
+    nonblank = [i for i, s in enumerate(lines) if s]
+    i = nonblank[line % len(nonblank)]
+    fields = lines[i].split(",")
+    if value is None:
+        del fields[field % len(fields)]
+    else:
+        fields[field % len(fields)] = value
+    lines[i] = ",".join(fields)
+    return "\n".join(lines)
+
+
+def _insert_char(text, pos, char):
+    pos %= len(text) + 1
+    return text[:pos] + char + text[pos:]
+
+
+CORRUPTIONS = {
+    "drop-field": lambda text, line, field: _replace_field(text, line, field, None),
+    "add-field": lambda text, line, field: _replace_field(text, line, field, "0,0"),
+    "level-17": lambda text, line, field: _replace_field(text, line, field % 64, "17"),
+    "label-10": lambda text, line, field: _replace_field(text, line, 64, "10"),
+    "letter": lambda text, line, field: _insert_char(text, line * 65 + field, "x"),
+    "space": lambda text, line, field: _insert_char(text, line * 65 + field, " "),
+    "plus": lambda text, line, field: _insert_char(text, line * 65 + field, "+"),
+    "crlf": lambda text, line, field: text.replace("\n", "\r\n"),
+    "empty-file": lambda text, line, field: "",
+    "empty-field": lambda text, line, field: _replace_field(text, line, field, ""),
+    "padded-30-digits": lambda text, line, field: _replace_field(text, line, field % 64,
+                                                                 "0" * 28 + "16"),
+    "huge-30-digits": lambda text, line, field: _replace_field(text, line, field, "9" * 30),
+}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=canonical_files())
+def test_canonical_files_take_the_vectorised_parse(tmp_path, text):
+    path = tmp_path / "canonical.csv"
+    path.write_bytes(text.encode("ascii"))
+    raw, labels = reference_load(path)
+    fast = _parse_canonical(path.read_bytes())
+    assert fast is not None
+    assert np.array_equal(fast[0], raw) and np.array_equal(fast[1], labels)
+    assert_same_outcome(path)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=canonical_files(), kind=st.sampled_from(sorted(CORRUPTIONS)),
+       line=st.integers(0, 49), field=st.integers(0, 64))
+def test_corrupted_files_give_the_line_parser_outcome(tmp_path, text, kind, line, field):
+    path = tmp_path / "corrupted.csv"
+    path.write_bytes(CORRUPTIONS[kind](text, line, field).encode("ascii"))
+    assert_same_outcome(path)
+
+
+@pytest.mark.parametrize("data", [
+    b"", b"\n\n", b",", b"5\n", b"0," * 64 + b"3,\n", b"0," * 64 + b"3\n" + b"0," * 63 + b"3\n",
+    b"0," * 64 + b"9223372036854775808\n", b"0," * 64 + b"3\r\n", b" " + b"0," * 64 + b"3\n",
+    b"\xa0" + b"0," * 64 + b"3\n",
+], ids=["empty", "blank-lines", "comma", "one-field", "trailing-comma", "short-second-row",
+        "int64-overflow", "crlf", "leading-space", "non-ascii"])
+def test_edge_files_give_the_line_parser_outcome(tmp_path, data):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(data)
+    assert_same_outcome(path)
+
+
+def test_bundled_corpus_parses_as_the_line_parser_does():
+    path = bundled_data_path()
+    assert _parse_canonical(path.read_bytes()) is not None
+    assert_same_outcome(path)
+
+
+# ---------------------------------------------------------------------------
+# augmentation and split
+# ---------------------------------------------------------------------------
+
+
+def reference_augment(pixels):
+    """Each image followed by its four shifts, one PixelAction at a time."""
+    shifted = np.stack([s.apply(pixels) for s in AUGMENT_SHIFTS], axis=1)
+    return shifted.reshape(5 * len(pixels), 64)
+
+
+def test_augment_matches_per_shift_reference(corpus):
+    pixels = np.concatenate([corpus.pixels[:300], -corpus.pixels[:300],
+                             random_images(50, seed=3)])  # -0.0 pixels included
+    ds = Dataset(pixels, np.arange(len(pixels)) % 10, np.arange(len(pixels))[::-1])
+    out = augment_shifts(ds)
+    expected = reference_augment(ds.pixels)
+    assert np.array_equal(out.pixels, expected)
+    assert np.array_equal(np.signbit(out.pixels), np.signbit(expected))
+    assert np.array_equal(out.labels, np.repeat(ds.labels, 5))
+    assert np.array_equal(out.origin_ids, np.repeat(ds.origin_ids, 5))
+
+
+ORIGIN_IDS = {
+    "shuffled": np.random.default_rng(0).permutation(40),
+    "duplicated": np.random.default_rng(1).integers(0, 15, size=60),
+    "grouped": np.repeat(np.arange(7)[::-1], 3),
+    "single-id": np.full(5, 9),
+    "empty": np.zeros(0, dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORIGIN_IDS))
+def test_distinct_sorted_matches_np_unique(name):
+    ids = ORIGIN_IDS[name]
+    assert np.array_equal(_distinct_sorted(ids), np.unique(ids))
+    assert _distinct_sorted(ids).dtype == np.unique(ids).dtype
+
+
+@pytest.mark.parametrize("name", ["shuffled", "duplicated", "grouped"])
+def test_split_origins_match_np_unique(name):
+    origin_ids = ORIGIN_IDS[name]
+    ds = Dataset(random_images(len(origin_ids), seed=5), np.zeros(len(origin_ids)), origin_ids)
+    origins = np.unique(origin_ids)
+    n_test = int(np.floor(0.3 * len(origins)))
+    for seed in range(5):
+        train, test = split(ds, test_fraction=0.3, seed=seed)
+        expected = np.sort(np.random.default_rng(seed).permutation(origins)[:n_test])
+        assert np.array_equal(np.unique(test.origin_ids), expected)
+        assert np.array_equal(np.unique(train.origin_ids), np.setdiff1d(origins, expected))
+
+
+def test_split_of_a_single_origin_leaves_one_side_empty():
+    ds = Dataset(random_images(5), np.zeros(5), ORIGIN_IDS["single-id"])
+    with pytest.raises(ValueError, match="one side empty"):
+        split(ds, test_fraction=0.5, seed=0)
+
+
+def test_data_path_does_not_import_numpy_ma():
+    src = str(Path(symdigits.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def loads_numpy_ma(code):
+        proc = subprocess.run([sys.executable, "-c", code + "\nprint('numpy.ma' in sys.modules)"],
+                              env=env, capture_output=True, text=True, timeout=120, check=True)
+        return proc.stdout.split()[-1] == "True"
+
+    if loads_numpy_ma("import sys, numpy"):
+        pytest.skip("importing numpy alone loads numpy.ma")
+    assert not loads_numpy_ma(
+        "import sys\n"
+        "from symdigits.digits import augment_shifts, bundled_data_path, load_dataset, split\n"
+        "split(augment_shifts(load_dataset(str(bundled_data_path()))), 0.25, seed=0)")
