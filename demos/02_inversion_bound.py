@@ -21,11 +21,11 @@ print(f"train {len(train_ds)} / test {len(test_ds)} images "
 # the antisymmetry is structural, not learned: a random network has it too
 random_net = init_mlp((64, 10, 5, 10), use_bias=False, seed_or_rng=0)
 x = test_ds.pixels[:5]
-gap = np.abs(forward(random_net, x).logits + forward(random_net, -x).logits).max()
+gap = np.abs(forward(random_net, x) + forward(random_net, -x)).max()
 print(f"random net, max |logits(x) + logits(-x)| over 5 images: {gap:.2e}")
 
-p = softmax(forward(random_net, x).logits)
-p_inv = softmax(forward(random_net, -x).logits)
+p = softmax(forward(random_net, x))
+p_inv = softmax(forward(random_net, -x))
 product = p * p_inv  # constant across classes, sample by sample
 spread = (product.max(axis=1) / product.min(axis=1) - 1.0).max()
 print("p_a(x) * p_a(-x) is constant across classes (unnormalized "

@@ -10,6 +10,8 @@ creates the output directory, runs the command, and writes a manifest
 echoing the fully resolved configuration (timestamps live only there, so
 reruns are byte-identical elsewhere), also when a check failed.  A command
 returns None when its checks pass, or the failure message when one fails.
+It takes only the flags and config keys it reads: the keys of ``DEFAULTS``
+that its parser defines.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False,
 _PARSERS = {bool: lambda value: _BOOL_WORDS[value.lower()], int: int, float: float}
 
 
-def _parse_config_file(path) -> dict:
-    """Flat key=value lines; '#' starts a comment."""
+def _parse_config_file(path, keys) -> dict:
+    """Flat key=value lines; '#' starts a comment; every key is in ``keys``."""
     values = {}
     try:
         text = Path(path).read_text(encoding="ascii")
@@ -84,7 +86,7 @@ def _parse_config_file(path) -> dict:
         if "=" not in line:
             raise CliError(f"{path}: line {lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in DEFAULTS:
+        if key not in keys:
             raise CliError(f"{path}: line {lineno}: unknown key {key!r}")
         try:
             values[key] = _PARSERS.get(type(DEFAULTS[key]), str)(value)
@@ -94,17 +96,19 @@ def _parse_config_file(path) -> dict:
 
 
 def _resolve(args) -> dict:
-    """Merge precedence: command-line flags > config file > defaults."""
-    file_values = _parse_config_file(args.config) if getattr(args, "config", None) else {}
+    """The command's keys (those its parser defines), merged by precedence:
+    command-line flags > config file > defaults."""
+    keys = [key for key in DEFAULTS if hasattr(args, key)]
+    file_values = _parse_config_file(args.config, keys) if args.config else {}
     resolved = {}
-    for key, default in DEFAULTS.items():
-        flag = getattr(args, key, None)
+    for key in keys:
+        flag = getattr(args, key)
         if flag is not None:
             resolved[key] = flag
         elif key in file_values:
             resolved[key] = file_values[key]
         else:
-            resolved[key] = default
+            resolved[key] = DEFAULTS[key]
     return resolved
 
 
@@ -143,10 +147,11 @@ def _feature_map(resolved):
     return feature_map_from_name(resolved["features"], resolved["perm_seed"])
 
 
-def _train_config(resolved, use_bias) -> TrainConfig:
+def _train_config(resolved, **fixed) -> TrainConfig:
+    """The SGD flags, plus the ``fixed`` fields of TrainConfig."""
     return TrainConfig(
-        seed=resolved["seed"], epochs=resolved["epochs"], batch_size=resolved["batch"],
-        learning_rate=resolved["lr"], momentum=resolved["momentum"], use_bias=use_bias)
+        epochs=resolved["epochs"], batch_size=resolved["batch"],
+        learning_rate=resolved["lr"], momentum=resolved["momentum"], **fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -155,22 +160,7 @@ def _train_config(resolved, use_bias) -> TrainConfig:
 
 
 def cmd_data(args, resolved, out):
-    if args.what == "fetch":
-        target = out / "optdigits.csv"
-        try:
-            from sklearn.datasets import load_digits
-        except ImportError:
-            raise CliError(
-                "fetch needs scikit-learn (install the fetch extra: "
-                "pip install -e .[fetch]); "
-                f"a bundled copy is available at {bundled_data_path()}") from None
-        bunch = load_digits()
-        raw = bunch.data.astype(np.int64)
-        with open(target, "w", encoding="ascii") as f:
-            for row, label in zip(raw, bunch.target):
-                f.write(",".join(str(v) for v in [*row.tolist(), int(label)]) + "\n")
-        print(f"wrote {len(raw)} images to {target}")
-    elif args.what == "convert":
+    if args.what == "convert":
         ds = load_dataset(_data_path(resolved))
         target = out / "optdigits.csv"
         shutil.copyfile(_data_path(resolved), target)
@@ -190,7 +180,7 @@ def cmd_data(args, resolved, out):
 
 def cmd_train(args, resolved, out):
     feature_map = _feature_map(resolved)
-    config = _train_config(resolved, resolved["bias"])
+    config = _train_config(resolved, seed=resolved["seed"], use_bias=resolved["bias"])
     train_ds, test_ds = _load_splits(resolved)
     result = train(config, feature_map.apply(train_ds.pixels), train_ds.labels)
     save_model(out / "model.json", result.mlp, feature_map)
@@ -264,7 +254,7 @@ def cmd_reproduce(args, resolved, out):
     seeds = [int(s) for s in str(resolved["seeds"]).split(",") if s.strip() != ""]
     ds = load_dataset(_data_path(resolved))
     augmented = augment_shifts(ds)
-    config = _train_config(resolved, use_bias=False)
+    config = _train_config(resolved)  # reproduce_tables sets each row's seed and bias
     report = reproduce_tables(augmented, seeds, config=config, tables=(args.what,),
                               test_fraction=resolved["test_fraction"],
                               jobs=resolved["jobs"])
@@ -410,13 +400,15 @@ def cmd_probe(args, resolved, out):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, seed=False, test_fraction=False) -> None:
     p.add_argument("--data", help="optdigits CSV (default: bundled copy)")
     p.add_argument("--out", help="output directory (default: out)")
-    p.add_argument("--seed", type=int, help="seed for split/init/shuffles")
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--test-fraction", dest="test_fraction", type=float,
-                   help="held-out origin fraction (default 0.25)")
+    if seed:
+        p.add_argument("--seed", type=int, help="seed for split/init/shuffles")
+    if test_fraction:
+        p.add_argument("--test-fraction", dest="test_fraction", type=float,
+                       help="held-out origin fraction (default 0.25)")
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -436,7 +428,12 @@ def _add_sgd_flags(p: argparse.ArgumentParser) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """argparse normally exits with status 2 on usage errors; the exit-status
-    contract reserves 2 for invariant failures, so route them to CliError."""
+    contract reserves 2 for invariant failures, so route them to CliError.
+    Flags are never abbreviated: ``reproduce --seed`` is an error, not
+    ``--seeds``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise CliError(message)
@@ -449,19 +446,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("data", help="fetch/convert/inspect the digits corpus")
-    p.add_argument("what", choices=["fetch", "convert", "stats"])
+    p = sub.add_parser("data", help="validate/inspect the digits corpus")
+    p.add_argument("what", choices=["convert", "stats"])
     _add_common(p)
     p.set_defaults(func=cmd_data)
 
     p = sub.add_parser("train", help="train one model, save it with its feature map")
-    _add_common(p)
+    _add_common(p, seed=True, test_fraction=True)
     _add_model_flags(p)
     _add_sgd_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a saved model on the test split")
-    _add_common(p)
+    _add_common(p, seed=True, test_fraction=True)
     p.add_argument("--model", help="model JSON written by train")
     p.add_argument("--invert", action="store_true", default=None,
                    help="invert the test set before prediction")
@@ -469,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="rebuild the accuracy tables or figure")
     p.add_argument("what", choices=["table1", "table2", "figure1"])
-    _add_common(p)
+    _add_common(p, test_fraction=True)
     _add_sgd_flags(p)  # the table rows fix the bias mode and the feature maps
     p.add_argument("--seeds", help="comma-separated seeds (default 0,1,2,3,4)")
     p.add_argument("--jobs", type=int, help="parallel table cells (default 1)")
@@ -477,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", help="run a symmetry-degeneracy probe")
     p.add_argument("what", choices=list(PROBES))
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--model", help="model JSON (weight-flip: default fresh random)")
     p.add_argument("--n", type=int, help="cyclic group order (default 360)")
     p.add_argument("--mu", type=float, help="inclusion probability (default 0.5)")

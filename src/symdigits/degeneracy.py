@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .digits import Dataset
-from .features import FeatureMapKind, PixelAction
+from .features import PixelAction
 from .network import Mlp, total_loss, sample_loss
 
 MACHINE_EPS = float(np.finfo(np.float64).eps)
@@ -68,19 +68,6 @@ def weight_orbit_invariance(mlp: Mlp, ds: Dataset) -> float:
     if not dataset_is_inversion_closed(ds):
         raise ValueError("dataset is not closed under inversion; symmetrize it first")
     return weight_flip_deviation(mlp, ds)
-
-
-def per_sample_inversion_gap(mlp: Mlp, kind: FeatureMapKind, ds: Dataset) -> float:
-    """Max |loss(features(x)) - loss(features(-x))| over samples.
-
-    For inversion-invariant feature maps the features agree bit-for-bit,
-    so the gap is exactly zero: the feature map removes the group action
-    (U(g) acts as the identity on features) and with it the weight-orbit
-    degeneracy.
-    """
-    losses = sample_loss(mlp, kind.apply(ds.pixels), ds.labels)
-    losses_inv = sample_loss(mlp, kind.apply(-ds.pixels), ds.labels)
-    return float(np.max(np.abs(losses - losses_inv)))
 
 
 @dataclass
@@ -154,7 +141,8 @@ def rotation_matrix(theta: float) -> np.ndarray:
 @dataclass
 class ToyRotationTask:
     """2-D points on two circles, labels a function of radius only, and the
-    cyclic group C_n of plane rotations.
+    cyclic group C_n of plane rotations.  The training inputs are all n
+    rotations of the base points, so C_1 is the unclosed dataset.
 
     The model is a single bias-free tanh unit read out through its square,
     f(x; w) = tanh(w.x)^2, with squared-error loss.  The even readout is
@@ -166,7 +154,6 @@ class ToyRotationTask:
     base_points: np.ndarray   # (m, 2)
     base_labels: np.ndarray   # (m,)
     n: int                    # group order
-    closed: bool              # True if the loss sums over all n rotations
 
     def __post_init__(self):
         self.base_points = np.asarray(self.base_points, dtype=np.float64).reshape(-1, 2)
@@ -184,11 +171,8 @@ class ToyRotationTask:
         return 2.0 * np.pi * np.arange(self.n) / self.n
 
     def points(self) -> np.ndarray:
-        """The training inputs: all C_n rotations of the base points when
-        closed, otherwise the base points alone.  Cached; loss evaluations
-        hit this on every call."""
-        if not self.closed:
-            return self.base_points
+        """The training inputs: all C_n rotations of the base points.
+        Cached; loss evaluations hit this on every call."""
         if self._points is None:
             mats = np.stack([rotation_matrix(t) for t in self.group_angles])  # (n, 2, 2)
             rotated = np.einsum("kab,mb->kma", mats, self.base_points)
@@ -196,8 +180,6 @@ class ToyRotationTask:
         return self._points
 
     def labels(self) -> np.ndarray:
-        if not self.closed:
-            return self.base_labels
         if self._labels is None:
             self._labels = np.tile(self.base_labels, self.n)
         return self._labels
@@ -214,8 +196,7 @@ TOY_RADII = (0.5, 1.0)
 TOY_LABELS = (0.2, 0.8)     # label of the points on each circle
 
 
-def make_toy_task(n: int, n_points: int = 200, seed: int = 0,
-                  closed: bool = True) -> ToyRotationTask:
+def make_toy_task(n: int, n_points: int = 200, seed: int = 0) -> ToyRotationTask:
     """Points at random angles on two circles; labels depend on the radius."""
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n_points)
@@ -223,11 +204,11 @@ def make_toy_task(n: int, n_points: int = 200, seed: int = 0,
     radius = np.where(np.arange(n_points) < half, TOY_RADII[0], TOY_RADII[1])
     labels = np.where(np.arange(n_points) < half, TOY_LABELS[0], TOY_LABELS[1])
     points = np.stack([radius * np.cos(angles), radius * np.sin(angles)], axis=1)
-    return ToyRotationTask(points, labels, n=n, closed=closed)
+    return ToyRotationTask(points, labels, n=n)
 
 
 def toy_loss(task: ToyRotationTask, w) -> float:
-    """Omega(w) = sum over the (closed) dataset of (y - tanh(w.x)^2)^2.
+    """Omega(w) = sum over the dataset of (y - tanh(w.x)^2)^2.
 
     Computed in the task's work vectors, so two threads must not evaluate
     the loss or gradient of one task at the same time.
@@ -326,24 +307,16 @@ class OrbitScan:
         return list(zip(self.angles.tolist(), self.losses.tolist()))
 
 
-def orbit_profile(task: ToyRotationTask, w, angles) -> np.ndarray:
-    """Loss at the weight vector rotated through each angle (no guard)."""
-    return np.array([toy_loss(task, rotation_matrix(t) @ np.asarray(w, float))
-                     for t in angles])
-
-
 def orbit_loss_scan(task: ToyRotationTask, w) -> OrbitScan:
     """Loss along the weight orbit {R(2 pi k / n) w}.
 
-    For a C_n-closed dataset every orbit point sums the same loss terms in
-    a different order, so all n values agree to float reassociation.
-    Rejects non-closed tasks; use orbit_profile to measure the witness
-    spread of an unclosed dataset.
+    The dataset is closed under C_n, so every orbit point sums the same
+    loss terms in a different order and all n values agree to float
+    reassociation.
     """
-    if not task.closed:
-        raise ValueError("orbit scan requires a C_n-closed task dataset")
     angles = task.group_angles
-    losses = orbit_profile(task, w, angles)
+    w = np.asarray(w, dtype=np.float64)
+    losses = np.array([toy_loss(task, rotation_matrix(t) @ w) for t in angles])
     spread = float((losses.max() - losses.min()) / np.mean(losses))
     return OrbitScan(angles=angles, losses=losses, relative_spread=spread)
 

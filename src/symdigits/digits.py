@@ -239,21 +239,6 @@ def render_image(pixels, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read back a plain P2 PGM written by render_image (for tests/tools)."""
-    with open(path, "r", encoding="ascii") as f:
-        tokens = f.read().split()
-    if tokens[0] != "P2":
-        raise ValueError(f"{path}: not a plain PGM (P2) file")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    values = np.array([int(t) for t in tokens[4:]], dtype=np.int64)
-    if len(values) != w * h:
-        raise ValueError(f"{path}: expected {w * h} samples, got {len(values)}")
-    if values.min(initial=0) < 0 or values.max(initial=0) > maxval:
-        raise ValueError(f"{path}: sample outside 0..{maxval}")
-    return values.reshape(h, w)
-
-
 def class_counts(ds: Dataset) -> np.ndarray:
     return np.bincount(ds.labels, minlength=N_CLASSES)
 

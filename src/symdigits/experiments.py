@@ -64,7 +64,7 @@ def bound_check(mlp: Mlp, feature_map: FeatureMapKind, test: Dataset) -> BoundCh
         raise ValueError("bound_check requires identity features")
     R, _ = accuracy(mlp, feature_map, test)
     R_bar, _ = accuracy(mlp, feature_map, invert_dataset(test))
-    logits = forward(mlp, test.pixels).logits
+    logits = forward(mlp, test.pixels)
     preds_inverted = predict(mlp, -test.pixels)
     argmins = np.argmin(logits, axis=1)
     unique = (logits == logits.min(axis=1, keepdims=True)).sum(axis=1) == 1

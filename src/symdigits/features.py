@@ -113,28 +113,6 @@ def inversion_group() -> list:
     return [IDENTITY, inversion()]
 
 
-def rotation_group() -> list:
-    """The four quarter-turn rotations of the grid (cyclic group C4)."""
-    return [rotation90(k) for k in range(4)]
-
-
-def is_closed_group(elements: list) -> bool:
-    """Check closure under composition by comparing actions on probe vectors.
-
-    Probes are the 64 basis images plus the zero image, which pin down any
-    affine action exactly; equality is bit-exact (all actions here are
-    sign-exact permutations or fills).
-    """
-    probes = np.vstack([np.eye(N_PIXELS), np.zeros((1, N_PIXELS))])
-    actions = [g.apply(probes) for g in elements]
-    for ga in actions:
-        for h in elements:
-            composed = h.apply(ga)
-            if not any(np.array_equal(composed, other) for other in actions):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # feature maps
 # ---------------------------------------------------------------------------

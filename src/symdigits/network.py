@@ -122,12 +122,6 @@ def init_mlp(dims, use_bias: bool, seed_or_rng=0) -> Mlp:
     return Mlp(layers)
 
 
-@dataclass
-class ForwardResult:
-    logits: np.ndarray
-    activations: list  # [input, hidden..., logits]
-
-
 def as_integers(values, name: str) -> np.ndarray:
     """Class labels or ids as int64.  A float value must be integral (2.0 is
     2) and within int64; a fractional or non-finite one is rejected, never
@@ -160,12 +154,11 @@ def _layer_outputs(layers: list[Layer], h: np.ndarray) -> list[np.ndarray]:
     return outputs
 
 
-def forward(mlp: Mlp, features) -> ForwardResult:
-    """Run the network on a feature vector (fan_in,) or a batch (n, fan_in)."""
+def forward(mlp: Mlp, features) -> np.ndarray:
+    """The logits of a feature vector (fan_in,) or a batch (n, fan_in)."""
     h = np.asarray(features, dtype=np.float64)
     _check_features(mlp, h)
-    activations = _layer_outputs(mlp.layers, h)
-    return ForwardResult(logits=activations[-1], activations=activations)
+    return _layer_outputs(mlp.layers, h)[-1]
 
 
 def softmax(logits) -> np.ndarray:
@@ -180,8 +173,7 @@ def softmax(logits) -> np.ndarray:
 
 def predict(mlp: Mlp, features) -> int | np.ndarray:
     """Class with the largest logit; ties break toward the lowest index."""
-    logits = forward(mlp, features).logits
-    cls = np.argmax(logits, axis=-1)
+    cls = np.argmax(forward(mlp, features), axis=-1)
     return int(cls) if cls.ndim == 0 else cls
 
 
@@ -198,7 +190,7 @@ def cross_entropy_loss(probabilities, label) -> float | np.ndarray:
 
 def sample_loss(mlp: Mlp, features, label) -> float | np.ndarray:
     """Cross-entropy of softmax(forward(...)) for one sample or a batch."""
-    return cross_entropy_loss(softmax(forward(mlp, features).logits), label)
+    return cross_entropy_loss(softmax(forward(mlp, features)), label)
 
 
 def total_loss(mlp: Mlp, features, labels) -> float:

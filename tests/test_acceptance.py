@@ -256,7 +256,7 @@ def test_criterion_6_sampled_loss(corpus):
 
 def test_criterion_7_pipeline_integrity(tmp_path, corpus, augmented, trained_nobias):
     from symdigits.cli import _figure1_index
-    from symdigits.digits import pixels_to_gray_levels, read_pgm, render_image
+    from symdigits.digits import render_image
     from symdigits.features import NeighborProduct
 
     counts_ok = len(corpus) == 1797 and len(augmented) == 8985
@@ -277,8 +277,8 @@ def test_criterion_7_pipeline_integrity(tmp_path, corpus, augmented, trained_nob
     render_image(-pixels, tmp_path / "inverted.pgm")
     render_image(NeighborProduct().apply(pixels),
                  tmp_path / "features.pgm")
-    original = read_pgm(tmp_path / "original.pgm")
-    inverted = read_pgm(tmp_path / "inverted.pgm")
+    original = np.loadtxt(tmp_path / "original.pgm", skiprows=3, dtype=np.int64)
+    inverted = np.loadtxt(tmp_path / "inverted.pgm", skiprows=3, dtype=np.int64)
     complement = bool(np.all(original + inverted == 255))
 
     ok = counts_ok and leak_free and round_trip and complement and label == 6

@@ -10,7 +10,7 @@ import pytest
 
 import symdigits
 from symdigits.cli import main
-from symdigits.digits import bundled_data_path, read_pgm
+from symdigits.digits import bundled_data_path
 from symdigits.features import Identity
 from symdigits.network import init_mlp
 from symdigits.persistence import save_model
@@ -33,6 +33,11 @@ def manifest(out):
     return json.loads((out / "manifest.json").read_text())
 
 
+def read_pgm(path):
+    """The gray levels of a plain (P2) PGM written by render_image."""
+    return np.loadtxt(path, skiprows=3, dtype=np.int64)
+
+
 def test_data_stats(tmp_path):
     out = tmp_path / "stats"
     assert run("data", "stats", "--out", str(out)) == 0
@@ -42,25 +47,9 @@ def test_data_stats(tmp_path):
     assert (out / "manifest.json").exists()
 
 
-def test_data_convert_and_fetch(tmp_path, monkeypatch, capsys):
+def test_data_convert(tmp_path):
     out = tmp_path / "conv"
     assert run("data", "convert", "--out", str(out)) == 0
-    assert (out / "optdigits.csv").read_bytes() == bundled_data_path().read_bytes()
-    # Without the optional scikit-learn, fetch is a usage error that points
-    # to the bundled corpus and writes no CSV. The submodule is blocked too,
-    # since an already imported `sklearn.datasets` bypasses its parent.
-    for name in ("sklearn", "sklearn.datasets"):
-        monkeypatch.setitem(sys.modules, name, None)
-    out2 = tmp_path / "fetch"
-    assert run("data", "fetch", "--out", str(out2)) == 1
-    assert str(bundled_data_path()) in capsys.readouterr().err
-    assert not (out2 / "optdigits.csv").exists()
-
-
-def test_data_fetch_rebuilds_bundled_corpus(tmp_path):
-    pytest.importorskip("sklearn")
-    out = tmp_path / "fetch"
-    assert run("data", "fetch", "--out", str(out)) == 0
     assert (out / "optdigits.csv").read_bytes() == bundled_data_path().read_bytes()
 
 
@@ -185,8 +174,9 @@ def test_probe_goldstone_sweep_ends_at_requested_n(tmp_path, n, sweep, code):
     assert (payload["curvature_ratio"] > 0.01) is (n == "10")
 
 
-@pytest.mark.parametrize("flag", [["--bias"], ["--features", "square"], ["--perm-seed", "7"]],
-                         ids=["bias", "features", "perm-seed"])
+@pytest.mark.parametrize("flag", [["--bias"], ["--features", "square"], ["--perm-seed", "7"],
+                                  ["--seed", "5"]],
+                         ids=["bias", "features", "perm-seed", "seed"])
 def test_reproduce_rejects_flags_the_table_rows_fix(tmp_path, capsys, flag):
     out = tmp_path / "out"
     assert run("reproduce", "table2", *flag, "--seeds", "0", "--epochs", "1",
@@ -213,14 +203,15 @@ def test_failed_probe_writes_payload_and_manifest(tmp_path, small_csv, capsys):
     assert manifest(out)["command"] == "probe sampled-loss"
 
 
-@pytest.mark.parametrize("command, extra", [
-    ("data stats", []),
-    ("train", ["--epochs", "1"]),
-    ("eval", ["--model", "MODEL"]),
-    ("reproduce figure1", []),
-    ("probe orbit", ["--n", "8"]),
+@pytest.mark.parametrize("command, extra, keys", [
+    ("data stats", [], ""),
+    ("train", ["--epochs", "1"],
+     "seed test_fraction bias features perm_seed epochs lr batch momentum"),
+    ("eval", ["--model", "MODEL"], "seed test_fraction invert"),
+    ("reproduce figure1", [], "test_fraction epochs lr batch momentum seeds jobs"),
+    ("probe orbit", ["--n", "8"], "seed n mu trials samples"),
 ], ids=["data-stats", "train", "eval", "reproduce-figure1", "probe-orbit"])
-def test_manifest_names_the_command(tmp_path, small_csv, command, extra):
+def test_manifest_names_the_command(tmp_path, small_csv, command, extra, keys):
     model = tmp_path / "model.json"
     save_model(model, init_mlp((64, 10, 5, 10), False, 0), Identity())
     extra = [str(model) if arg == "MODEL" else arg for arg in extra]
@@ -229,6 +220,8 @@ def test_manifest_names_the_command(tmp_path, small_csv, command, extra):
     written = manifest(out)
     assert written["command"] == command
     assert set(written) == {"command", "config", "version", "timestamp"}
+    # the config echoes the keys the command reads, and no other
+    assert set(written["config"]) == {"data", "out", *keys.split()}
 
 
 def test_config_file_and_flag_precedence(tmp_path, small_csv):
@@ -242,6 +235,27 @@ def test_config_file_and_flag_precedence(tmp_path, small_csv):
     config = manifest(out)["config"]
     assert config["seed"] == 3  # file value beat the default
     assert config["lr"] == 0.01
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["data", "stats", "--seed", "1"], "--seed"),
+    (["probe", "orbit", "--n", "8", "--test-fraction", "0.5"], "--test-fraction"),
+], ids=["data-seed", "probe-test-fraction"])
+def test_commands_reject_flags_they_do_not_read(tmp_path, small_csv, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert run(*argv, "--data", small_csv, "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"error: unrecognized arguments: {flag}")
+    assert not (out / "manifest.json").exists()
+
+
+def test_config_keys_the_command_does_not_read_are_usage_errors(tmp_path, small_csv, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("epochs=1\nbias=1\n")
+    out = tmp_path / "out"
+    assert run("reproduce", "table2", "--data", small_csv, "--seeds", "0",
+               "--config", str(config), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {config}: line 2: unknown key 'bias'\n"
+    assert not (out / "manifest.json").exists()
 
 
 def test_bad_config_file_is_usage_error(tmp_path):

@@ -5,17 +5,17 @@ import symdigits.degeneracy as degeneracy
 from symdigits.degeneracy import (ROTATION_GENERATOR, SampledLossReport,
                                   dataset_is_inversion_closed,
                                   generator_curvature, generator_curvature_sweep,
-                                  make_toy_task, orbit_loss_scan, orbit_profile,
-                                  per_sample_inversion_gap, rotation_matrix,
+                                  make_toy_task, orbit_loss_scan, rotation_matrix,
                                   sampled_loss_expectation, smallest_hessian_eigenvalue,
                                   toy_gradient, toy_hessian, toy_loss, train_toy,
                                   weight_flip_deviation, weight_orbit_invariance)
 from symdigits.digits import Dataset, symmetrize
-from symdigits.features import (NeighborProduct, Square, inversion_group,
-                                rotation_group)
+from symdigits.features import NeighborProduct, Square, inversion_group, rotation90
 from symdigits.network import init_mlp, sample_loss, train, TrainConfig
 
 from conftest import random_images
+
+ROTATION_GROUP = [rotation90(k) for k in range(4)]  # the quarter turns, C4
 
 
 def image_dataset(n=120, seed=0):
@@ -70,8 +70,9 @@ def test_invariant_features_remove_the_degeneracy_premise():
     # input, so each sample's loss is unchanged under inversion, bit-exactly
     ds = image_dataset(seed=3)
     mlp = init_mlp((64, 10, 5, 10), False, 3)
-    assert per_sample_inversion_gap(mlp, Square(), ds) == 0.0
-    assert per_sample_inversion_gap(mlp, NeighborProduct(), ds) == 0.0
+    for kind in (Square(), NeighborProduct()):
+        losses = sample_loss(mlp, kind.apply(ds.pixels), ds.labels)
+        assert np.array_equal(sample_loss(mlp, kind.apply(-ds.pixels), ds.labels), losses)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +109,7 @@ def test_sampled_loss_single_trial_breaks_symmetry():
 def test_sampled_loss_works_with_rotation_group():
     ds = image_dataset(seed=7, n=40)
     mlp = init_mlp((64, 6, 10), False, 7)
-    report = sampled_loss_expectation(mlp, ds, rotation_group(), mu=1.0, trials=2)
+    report = sampled_loss_expectation(mlp, ds, ROTATION_GROUP, mu=1.0, trials=2)
     assert report.trial_min == report.omega == report.trial_max
 
 
@@ -134,10 +135,10 @@ def reference_sampled_loss(mlp, ds, group, mu, trials, seed=0):
 @pytest.mark.parametrize("n, group, mu, trials", [
     (60, inversion_group(), 0.5, 1237),     # 120 terms: blocks of 546 rows, last one short
     (37, inversion_group(), 0.3, 1),
-    (40, rotation_group(), 0.7, 333),
+    (40, ROTATION_GROUP, 0.7, 333),
     (33000, inversion_group(), 0.5, 3),     # 66000 terms > 2**16: one row per block
     (50, inversion_group(), 1.0, 700),
-    (20, rotation_group(), 1.0, 9),
+    (20, ROTATION_GROUP, 1.0, 9),
 ], ids=["inversion-partial-block", "one-trial", "rotation", "one-row-blocks",
         "mu-one", "rotation-mu-one"])
 def test_sampled_loss_equals_per_trial_reference(n, group, mu, trials):
@@ -195,7 +196,8 @@ TOY_WEIGHTS = [(0.0, 0.0), (0.9, 0.4), (40.0, -25.0), (-1.3, 0.05), (1e-3, -2e-3
 @pytest.mark.parametrize("closed", [True, False], ids=["closed", "unclosed"])
 @pytest.mark.parametrize("n", [1, 4, 7, 360])
 def test_toy_loss_and_gradient_match_reference_bits(n, closed):
-    task = make_toy_task(n, seed=n, closed=closed)
+    # the unclosed dataset is the C_1 task: the base points alone
+    task = make_toy_task(n if closed else 1, seed=n)
     for w in TOY_WEIGHTS:
         assert toy_loss(task, w) == reference_toy_loss(task, w)
         assert np.array_equal(toy_gradient(task, w), reference_toy_gradient(task, w))
@@ -260,16 +262,12 @@ def test_orbit_scan_is_flat_for_closed_task():
     assert scan.relative_spread <= 1e-9
 
 
-def test_orbit_scan_rejects_unclosed_task():
-    task = make_toy_task(4, closed=False)
-    with pytest.raises(ValueError, match="closed"):
-        orbit_loss_scan(task, np.array([1.0, 0.0]))
-
-
 def test_unclosed_profile_shows_the_witness_spread():
-    task = make_toy_task(360, closed=False)
-    angles = 2 * np.pi * np.arange(8) / 8
-    losses = orbit_profile(task, np.array([1.5, 0.3]), angles)
+    # the C_1 task is not closed under C_8, so its loss moves along the C_8 orbit
+    task = make_toy_task(1)
+    w = np.array([1.5, 0.3])
+    losses = np.array([toy_loss(task, rotation_matrix(2 * np.pi * k / 8) @ w)
+                       for k in range(8)])
     spread = (losses.max() - losses.min()) / losses.mean()
     assert spread > 1e-3
 

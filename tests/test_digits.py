@@ -3,10 +3,15 @@ import pytest
 
 from symdigits.digits import (Dataset, augment_shifts, class_counts,
                               dataset_stats, invert_dataset, load_optdigits,
-                              pixels_to_gray_levels, read_pgm, render_image,
-                              scale_to_unit, split, symmetrize, unscale)
+                              pixels_to_gray_levels, render_image, scale_to_unit,
+                              split, symmetrize, unscale)
 
 from conftest import random_images
+
+
+def read_pgm(path):
+    """The gray levels of a plain (P2) PGM written by render_image."""
+    return np.loadtxt(path, skiprows=3, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,8 @@ import pytest
 
 from symdigits.features import (IDENTITY, Identity, NeighborProduct, PermutationProduct,
                                 PixelAction, Square, feature_map_from_name, inversion,
-                                inversion_group, is_closed_group, make_permutation,
-                                permutation, relative_sign, rotation90, rotation_group,
-                                shift)
+                                inversion_group, make_permutation, permutation,
+                                relative_sign, rotation90, shift)
 
 from conftest import random_images
 
@@ -119,9 +118,16 @@ def test_pixel_action_leaves_its_input_alone():
 
 
 def test_group_closure():
-    assert is_closed_group(inversion_group())
-    assert is_closed_group(rotation_group())
-    assert not is_closed_group([inversion()])  # missing the identity
+    # the inversion group {e, -1} and the quarter turns C4 compose within
+    # themselves, bit for bit
+    x = random_images(5, seed=11)
+    e, inv = inversion_group()
+    assert np.array_equal(e.apply(x), x)
+    assert np.array_equal(inv.apply(inv.apply(x)), x)
+    for j in range(4):
+        for k in range(4):
+            assert np.array_equal(rotation90(j).apply(rotation90(k).apply(x)),
+                                  rotation90((j + k) % 4).apply(x))
 
 
 # ---------------------------------------------------------------------------

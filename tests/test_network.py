@@ -3,10 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from symdigits.network import (Layer, Mlp, TrainConfig, TrainingDiverged,
-                               backward, cross_entropy_loss, forward, grad_check,
-                               init_mlp, predict, softmax, total_loss, train)
+                               _layer_outputs, backward, cross_entropy_loss, forward,
+                               grad_check, init_mlp, predict, softmax, total_loss, train)
 
 from conftest import random_images
 
@@ -22,7 +25,7 @@ def small_net(use_bias=False, seed=0, dims=(64, 10, 5, 10)):
 
 def test_zero_input_gives_zero_logits():
     mlp = small_net()
-    assert np.all(forward(mlp, np.zeros(64)).logits == 0.0)
+    assert np.all(forward(mlp, np.zeros(64)) == 0.0)
 
 
 def test_no_bias_network_is_odd():
@@ -32,9 +35,25 @@ def test_no_bias_network_is_odd():
     for trial in range(25):
         mlp = small_net(seed=trial)
         x = rng.uniform(-1, 1, size=(40, 64))
-        gap = np.abs(forward(mlp, -x).logits + forward(mlp, x).logits)
+        gap = np.abs(forward(mlp, -x) + forward(mlp, x))
         worst = max(worst, float(gap.max()))
     assert worst <= 1e-12  # 25 nets x 40 inputs = 1000 pairs
+
+
+@st.composite
+def bias_free_nets_and_batches(draw):
+    dims = draw(st.lists(st.integers(1, 12), min_size=2, max_size=5))
+    mlp = init_mlp(dims, use_bias=False, seed_or_rng=draw(st.integers(0, 2**32 - 1)))
+    x = draw(hnp.arrays(np.float64, (draw(st.integers(1, 8)), dims[0]),
+                        elements=st.floats(-1.0, 1.0)))
+    return mlp, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(bias_free_nets_and_batches())
+def test_no_bias_network_is_odd_bit_for_bit(net_and_batch):
+    mlp, x = net_and_batch
+    assert np.array_equal(forward(mlp, -x), -forward(mlp, x))
 
 
 def test_forward_matches_hand_rolled_chain():
@@ -50,7 +69,7 @@ def test_forward_matches_hand_rolled_chain():
                 s += layer.weights[i, j] * z[j]
             out.append(math.tanh(s) if li < len(mlp.layers) - 1 else s)
         z = out
-    np.testing.assert_allclose(forward(mlp, x).logits, z, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(forward(mlp, x), z, rtol=0, atol=1e-12)
 
 
 def test_forward_rejects_dimension_mismatch():
@@ -78,8 +97,8 @@ def test_softmax_probability_inversion_identity():
     # p_a(x) * p_a(-x) is constant across classes for an odd network
     mlp = small_net(seed=3)
     x = random_images(100, seed=3)
-    p = softmax(forward(mlp, x).logits)
-    p_inv = softmax(forward(mlp, -x).logits)
+    p = softmax(forward(mlp, x))
+    p_inv = softmax(forward(mlp, -x))
     prod = p * p_inv
     spread = prod.max(axis=1) / prod.min(axis=1) - 1.0
     assert np.all(spread <= 1e-10)
@@ -90,8 +109,8 @@ def test_softmax_of_inverted_input_is_bitwise_softmax_of_negated_logits():
     # agree bit-for-bit by construction
     mlp = small_net(seed=8)
     x = random_images(50, seed=8)
-    a = softmax(forward(mlp, -x).logits)
-    b = softmax(-forward(mlp, x).logits)
+    a = softmax(forward(mlp, -x))
+    b = softmax(-forward(mlp, x))
     assert np.array_equal(a, b)
 
 
@@ -107,7 +126,7 @@ def test_predict_breaks_ties_toward_lowest_class():
 def test_predict_on_inverted_input_is_argmin():
     mlp = small_net(seed=4)
     x = random_images(200, seed=4)
-    logits = forward(mlp, x).logits
+    logits = forward(mlp, x)
     unique = (logits == logits.min(axis=1, keepdims=True)).sum(axis=1) == 1
     preds = predict(mlp, -x)
     assert np.array_equal(preds[unique], np.argmin(logits, axis=1)[unique])
@@ -154,9 +173,9 @@ def test_last_layer_gradient_identity():
     mlp = small_net(seed=5)
     x = random_images(1, seed=5)[0]
     y = 6
-    result = forward(mlp, x)
-    p = softmax(result.logits)
-    expected = np.outer(p - np.eye(10)[y], result.activations[-2])
+    *_, hidden, logits = _layer_outputs(mlp.layers, x)
+    p = softmax(logits)
+    expected = np.outer(p - np.eye(10)[y], hidden)
     np.testing.assert_allclose(backward(mlp, x, y)[-1].weights, expected,
                                rtol=0, atol=1e-14)
 
@@ -368,14 +387,14 @@ def test_short_training_learns_something(small_splits, quick_config):
     assert result.epoch_losses[-1] < result.epoch_losses[0]
     # predict on the first test image agrees with a manual argmax of the logits
     first = test_ds.pixels[0]
-    assert predict(result.mlp, first) == int(np.argmax(forward(result.mlp, first).logits))
+    assert predict(result.mlp, first) == int(np.argmax(forward(result.mlp, first)))
 
 
 def test_total_loss_is_sum_of_sample_losses():
     mlp = small_net(seed=12)
     x = random_images(10, seed=12)
     y = np.arange(10) % 10
-    per_sample = [cross_entropy_loss(softmax(forward(mlp, xi).logits), int(yi))
+    per_sample = [cross_entropy_loss(softmax(forward(mlp, xi)), int(yi))
                   for xi, yi in zip(x, y)]
     assert abs(total_loss(mlp, x, y) - sum(per_sample)) < 1e-12
 
