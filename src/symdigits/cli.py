@@ -400,8 +400,10 @@ def cmd_probe(args, resolved, out):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, seed=False, test_fraction=False) -> None:
-    p.add_argument("--data", help="optdigits CSV (default: bundled copy)")
+def _add_common(p: argparse.ArgumentParser, data=True, seed=False,
+                test_fraction=False) -> None:
+    if data:
+        p.add_argument("--data", help="optdigits CSV (default: bundled copy)")
     p.add_argument("--out", help="output directory (default: out)")
     p.add_argument("--config", help="flat key=value config file")
     if seed:
@@ -465,22 +467,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("reproduce", help="rebuild the accuracy tables or figure")
-    p.add_argument("what", choices=["table1", "table2", "figure1"])
-    _add_common(p, test_fraction=True)
-    _add_sgd_flags(p)  # the table rows fix the bias mode and the feature maps
-    p.add_argument("--seeds", help="comma-separated seeds (default 0,1,2,3,4)")
-    p.add_argument("--jobs", type=int, help="parallel table cells (default 1)")
-    p.set_defaults(func=cmd_reproduce)
+    whats = p.add_subparsers(dest="what", required=True)
+    for table in ("table1", "table2"):
+        q = whats.add_parser(table, help=f"train and grade the {table} cells")
+        _add_common(q, test_fraction=True)
+        _add_sgd_flags(q)  # the table rows fix the bias mode and the feature maps
+        q.add_argument("--seeds", help="comma-separated seeds (default 0,1,2,3,4)")
+        q.add_argument("--jobs", type=int, help="parallel table cells (default 1)")
+        q.set_defaults(func=cmd_reproduce)
+    q = whats.add_parser("figure1", help="render a digit, its inversion and its features")
+    _add_common(q)
+    q.set_defaults(func=cmd_reproduce)
 
+    # each probe takes only the flags it reads
     p = sub.add_parser("probe", help="run a symmetry-degeneracy probe")
-    p.add_argument("what", choices=list(PROBES))
-    _add_common(p, seed=True)
-    p.add_argument("--model", help="model JSON (weight-flip: default fresh random)")
-    p.add_argument("--n", type=int, help="cyclic group order (default 360)")
-    p.add_argument("--mu", type=float, help="inclusion probability (default 0.5)")
-    p.add_argument("--trials", type=int, help="Monte Carlo trials (default 10000)")
-    p.add_argument("--samples", type=int, help="dataset subset size (default 200)")
-    p.set_defaults(func=cmd_probe)
+    whats = p.add_subparsers(dest="what", required=True)
+    q = whats.add_parser("weight-flip", help="loss change under W1 -> -W1")
+    _add_common(q, seed=True)
+    q.add_argument("--model", help="model JSON (default: fresh random)")
+    q = whats.add_parser("orbit", help="loss along the C_n weight orbit")
+    _add_common(q, data=False, seed=True)
+    q.add_argument("--n", type=int, help="cyclic group order (default 360)")
+    q = whats.add_parser("goldstone", help="curvature along the orbit generator")
+    _add_common(q, data=False, seed=True)
+    q.add_argument("--n", type=int, help="largest cyclic group order (default 360)")
+    q = whats.add_parser("sampled-loss", help="symmetry in expectation under sampling")
+    _add_common(q, seed=True)
+    q.add_argument("--mu", type=float, help="inclusion probability (default 0.5)")
+    q.add_argument("--trials", type=int, help="Monte Carlo trials (default 10000)")
+    q.add_argument("--samples", type=int, help="dataset subset size (default 200)")
+    for q in whats.choices.values():
+        q.set_defaults(func=cmd_probe)
 
     return parser
 

@@ -37,11 +37,19 @@ def dataset_is_inversion_closed(ds: Dataset) -> bool:
     Negation reverses a lexicographic order, so within one label the sorted
     negated rows are the sorted rows negated and reversed: the set is
     closed exactly when every label block equals its own reversed negation.
+    That condition pairs row i with row m-1-i, so the first half of each
+    block against the negated last half decides it; one block's rows are
+    gathered at a time.
     """
     order = np.lexsort((*ds.pixels.T, ds.labels))
-    rows = ds.pixels[order]
     ends = np.flatnonzero(np.diff(ds.labels[order])) + 1
-    return all(np.array_equal(block, -block[::-1]) for block in np.split(rows, ends))
+    for block in np.split(order, ends):
+        half = (len(block) + 1) // 2
+        head = ds.pixels[block[:half]]
+        tail = ds.pixels[block[::-1][:half]]
+        if not np.array_equal(head, np.negative(tail, out=tail)):
+            return False
+    return True
 
 
 def weight_flip_deviation(mlp: Mlp, ds: Dataset) -> float:

@@ -28,6 +28,11 @@ _AUGMENT_INDEX = np.concatenate([s.index for s in AUGMENT_SHIFTS])
 _AUGMENT_VACATED = np.flatnonzero(_AUGMENT_INDEX == -1)
 
 
+def _in_unit_range(pixels: np.ndarray) -> bool:
+    """Every value in [-1, 1]; NaN fails too.  Two reductions, no copy."""
+    return bool(pixels.min(initial=0.0) >= -1.0 and pixels.max(initial=0.0) <= 1.0)
+
+
 class Dataset:
     """An ordered collection of 8x8 images, stored as arrays: one row of 64
     scaled pixels in [-1, 1] per image, its digit label, and the index of
@@ -43,7 +48,7 @@ class Dataset:
         self.origin_ids = as_integers(origin_ids, "origin_ids").reshape(-1)
         if not (len(self.pixels) == len(self.labels) == len(self.origin_ids)):
             raise ValueError("pixels, labels and origin_ids must have equal length")
-        if not np.abs(self.pixels).max(initial=0.0) <= 1.0:  # NaN fails too
+        if not _in_unit_range(self.pixels):
             raise ValueError("pixels must lie in [-1, 1]")
         if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) >= N_CLASSES:
             raise ValueError("labels must be in 0..9")
@@ -163,9 +168,15 @@ def augment_shifts(ds: Dataset) -> Dataset:
 
 
 def symmetrize(ds: Dataset) -> Dataset:
-    """Append the grayscale-inverted copy of every image (same labels)."""
-    inv = inversion().apply(ds.pixels)
-    pixels = np.concatenate([ds.pixels, inv])
+    """Append the grayscale-inverted copy of every image (same labels).
+
+    Both halves are written into one array; the negation is bit-equal to
+    ``inversion().apply``, since x * -1 is exactly -x, signed zeros included.
+    """
+    n = len(ds)
+    pixels = np.empty((2 * n, N_PIXELS))
+    pixels[:n] = ds.pixels
+    np.negative(ds.pixels, out=pixels[n:])
     labels = np.concatenate([ds.labels, ds.labels])
     origins = np.concatenate([ds.origin_ids, ds.origin_ids])
     return ds.derive(pixels, labels, origins, name="+-" + ds.name,
@@ -224,7 +235,7 @@ def pixels_to_gray_levels(pixels) -> np.ndarray:
     127.5 midpoint, which no integer scale can split symmetrically.
     """
     x = np.asarray(pixels, dtype=np.float64)
-    if not np.abs(x).max(initial=0.0) <= 1.0:
+    if not _in_unit_range(x):
         raise ValueError("pixels must lie in [-1, 1]")
     return np.clip(np.rint(255.0 * (x + 1.0) / 2.0), 0, 255).astype(np.int64)
 

@@ -125,13 +125,18 @@ def make_permutation(seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Identity:
-    """Raw pixels, unchanged.  Not inversion invariant."""
+    """Raw pixels, unchanged.  Not inversion invariant.
+
+    ``apply`` returns a read-only view of the pixels, not a copy.
+    """
 
     name = "identity"
     invariant = False
 
     def apply(self, pixels: np.ndarray) -> np.ndarray:
-        return _as_pixels(pixels).copy()
+        view = _as_pixels(pixels).view()
+        view.flags.writeable = False
+        return view
 
 
 @dataclass(frozen=True)
@@ -161,8 +166,9 @@ class NeighborProduct:
     def apply(self, pixels: np.ndarray) -> np.ndarray:
         x = _as_pixels(pixels)
         grid = x.reshape(*x.shape[:-1], GRID, GRID)
-        prod = grid * np.roll(grid, -1, axis=-1)
-        return prod.reshape(*x.shape[:-1], N_PIXELS)
+        prod = np.roll(grid, -1, axis=-1)  # the one allocation: the result
+        prod *= grid
+        return prod.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -190,7 +196,9 @@ class PermutationProduct:
 
     def apply(self, pixels: np.ndarray) -> np.ndarray:
         x = _as_pixels(pixels)
-        return x * x[..., self.perm]
+        prod = x[..., self.perm]
+        prod *= x
+        return prod
 
 
 FeatureMapKind = Union[Identity, Square, NeighborProduct, PermutationProduct]

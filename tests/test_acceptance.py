@@ -6,7 +6,10 @@ hyperparameters exist for the published numbers.  Each criterion prints
 one PASS/FAIL line (run with -s to see them as they finish).
 """
 
+import hashlib
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +22,10 @@ from symdigits.digits import Dataset, augment_shifts, split, symmetrize
 from symdigits.experiments import bound_check, reproduce_tables
 from symdigits.features import Identity, inversion_group
 from symdigits.network import TrainConfig, backward, grad_check, init_mlp, train
-from symdigits.persistence import load_model, save_model
+from symdigits.persistence import load_model, model_to_dict, save_model
 
 SEEDS = [0, 1, 2, 3, 4]
+GOLDEN_200 = Path(__file__).with_name("golden_200_epochs.json")
 
 
 def _report(number, name, ok, details=""):
@@ -286,3 +290,33 @@ def test_criterion_7_pipeline_integrity(tmp_path, corpus, augmented, trained_nob
             f"1797->8985={counts_ok} leak_free={leak_free} "
             f"round_trip={round_trip} figure1_complement={complement} "
             f"(sample {idx})")
+
+
+# ---------------------------------------------------------------------------
+# golden bits: the 200-epoch outputs above, against recorded digests
+# ---------------------------------------------------------------------------
+
+
+def _digest(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _versions() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
+
+
+def test_200_epoch_outputs_match_recorded_digests(table1, table2, trained_nobias):
+    """Byte identity holds per numpy and BLAS build; on a mismatch the
+    message names both builds and carries the digests found, which are what
+    to record after a deliberate change of output bits."""
+    found = {
+        "table1": _digest(table1[0].to_dict()),
+        "table2": _digest(table2[0].to_dict()),
+        "trained_nobias": {str(seed): _digest(model_to_dict(mlp, Identity()))
+                           for seed, (mlp, _, _) in zip(SEEDS, trained_nobias)},
+    }
+    golden = json.loads(GOLDEN_200.read_text())
+    assert found == golden["digests"], (
+        f"this interpreter runs {_versions()}; {GOLDEN_200.name} was recorded with "
+        f"{golden['recorded_with']}; found {json.dumps(found)}")

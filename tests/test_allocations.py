@@ -1,0 +1,77 @@
+"""Peak memory of the data path, traced with tracemalloc.
+
+Validation, symmetrization, the closure check and the identity feature map
+build no full-size temporary.  Each bound is the size of what the call
+must hold (its result, or one label block) plus a margin over the measured
+peak; the full-size copies these calls once made fail it by a wide margin.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from symdigits.degeneracy import dataset_is_inversion_closed
+from symdigits.digits import Dataset, symmetrize
+from symdigits.features import Identity, NeighborProduct, PermutationProduct, Square
+
+from conftest import random_images
+
+N_ROWS = 10_000  # 5.12 MB of pixels
+
+
+def traced_peak(call):
+    """(result, bytes allocated at the peak of ``call`` above the start)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    labels = np.random.default_rng(1).integers(0, 10, N_ROWS)
+    return Dataset(random_images(N_ROWS), labels, np.arange(N_ROWS))
+
+
+def test_dataset_keeps_a_float64_array_without_copying(dataset):
+    built, peak = traced_peak(
+        lambda: Dataset(dataset.pixels, dataset.labels, dataset.origin_ids))
+    assert np.shares_memory(built.pixels, dataset.pixels)
+    assert peak < dataset.pixels.nbytes / 100  # measured: about 2 kB of 5.12 MB
+
+
+def test_symmetrize_peaks_at_its_result(dataset):
+    sym, peak = traced_peak(lambda: symmetrize(dataset))
+    held = sym.pixels.nbytes + sym.labels.nbytes + sym.origin_ids.nbytes
+    assert peak <= 1.05 * held  # measured: 1.000 x held; concatenating -x was 2.4 x
+
+
+def test_closure_check_peaks_at_about_one_label_block(dataset):
+    sym = symmetrize(dataset)
+    block = np.bincount(sym.labels).max() * sym.pixels.itemsize * sym.pixels.shape[1]
+    closed, peak = traced_peak(lambda: dataset_is_inversion_closed(sym))
+    assert closed
+    # one block of rows, plus the sort order and sorted labels (8 bytes a row
+    # each); measured 1.73 MB against this 2.22 MB bound; a full gather of
+    # the sorted rows was 11.6 MB
+    assert peak <= 1.5 * block + 32 * len(sym)
+
+
+def test_identity_features_are_a_read_only_view(dataset):
+    feats, peak = traced_peak(lambda: Identity().apply(dataset.pixels))
+    assert peak < 4096  # the view object only; measured under 600 bytes
+    assert np.shares_memory(feats, dataset.pixels)
+    with pytest.raises(ValueError):
+        feats[0, 0] = 0.0
+    assert dataset.pixels.flags.writeable  # the source array stays writable
+
+
+@pytest.mark.parametrize("kind", [Square(), NeighborProduct(), PermutationProduct(0)],
+                         ids=lambda kind: kind.name)
+def test_product_maps_allocate_only_their_result(dataset, kind):
+    feats, peak = traced_peak(lambda: kind.apply(dataset.pixels))
+    assert peak <= 1.05 * feats.nbytes  # measured: at most 1.026 x (the perm gather)

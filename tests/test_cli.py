@@ -204,24 +204,26 @@ def test_failed_probe_writes_payload_and_manifest(tmp_path, small_csv, capsys):
 
 
 @pytest.mark.parametrize("command, extra, keys", [
-    ("data stats", [], ""),
-    ("train", ["--epochs", "1"],
-     "seed test_fraction bias features perm_seed epochs lr batch momentum"),
-    ("eval", ["--model", "MODEL"], "seed test_fraction invert"),
-    ("reproduce figure1", [], "test_fraction epochs lr batch momentum seeds jobs"),
-    ("probe orbit", ["--n", "8"], "seed n mu trials samples"),
-], ids=["data-stats", "train", "eval", "reproduce-figure1", "probe-orbit"])
+    ("data stats", ["--data", "CSV"], "data"),
+    ("train", ["--data", "CSV", "--epochs", "1"],
+     "data seed test_fraction bias features perm_seed epochs lr batch momentum"),
+    ("eval", ["--data", "CSV", "--model", "MODEL"], "data seed test_fraction invert"),
+    ("reproduce figure1", ["--data", "CSV"], "data"),
+    ("probe orbit", ["--n", "8"], "seed n"),
+    ("probe sampled-loss", ["--data", "CSV", "--trials", "2"], "data seed mu trials samples"),
+], ids=["data-stats", "train", "eval", "reproduce-figure1", "probe-orbit",
+        "probe-sampled-loss"])
 def test_manifest_names_the_command(tmp_path, small_csv, command, extra, keys):
     model = tmp_path / "model.json"
     save_model(model, init_mlp((64, 10, 5, 10), False, 0), Identity())
-    extra = [str(model) if arg == "MODEL" else arg for arg in extra]
+    extra = [{"MODEL": str(model), "CSV": small_csv}.get(arg, arg) for arg in extra]
     out = tmp_path / "out"
-    assert run(*command.split(), *extra, "--data", small_csv, "--out", str(out)) == 0
+    assert run(*command.split(), *extra, "--out", str(out)) == 0
     written = manifest(out)
     assert written["command"] == command
     assert set(written) == {"command", "config", "version", "timestamp"}
     # the config echoes the keys the command reads, and no other
-    assert set(written["config"]) == {"data", "out", *keys.split()}
+    assert set(written["config"]) == {"out", *keys.split()}
 
 
 def test_config_file_and_flag_precedence(tmp_path, small_csv):
@@ -240,11 +242,39 @@ def test_config_file_and_flag_precedence(tmp_path, small_csv):
 @pytest.mark.parametrize("argv, flag", [
     (["data", "stats", "--seed", "1"], "--seed"),
     (["probe", "orbit", "--n", "8", "--test-fraction", "0.5"], "--test-fraction"),
-], ids=["data-seed", "probe-test-fraction"])
+    (["reproduce", "figure1", "--epochs", "3"], "--epochs"),
+    (["reproduce", "figure1", "--seeds", "7"], "--seeds"),
+    (["reproduce", "figure1", "--jobs", "2"], "--jobs"),
+    (["reproduce", "figure1", "--test-fraction", "0.5"], "--test-fraction"),
+    (["probe", "orbit", "--n", "8", "--mu", "0.9"], "--mu"),
+    (["probe", "orbit", "--n", "8", "--trials", "5"], "--trials"),
+    (["probe", "orbit", "--n", "8", "--data", "CSV"], "--data"),
+    (["probe", "goldstone", "--n", "8", "--samples", "5"], "--samples"),
+    (["probe", "weight-flip", "--n", "8"], "--n"),
+    (["probe", "sampled-loss", "--model", "model.json"], "--model"),
+], ids=["data-seed", "probe-test-fraction", "figure1-epochs", "figure1-seeds",
+        "figure1-jobs", "figure1-test-fraction", "orbit-mu", "orbit-trials", "orbit-data",
+        "goldstone-samples", "weight-flip-n", "sampled-loss-model"])
 def test_commands_reject_flags_they_do_not_read(tmp_path, small_csv, capsys, argv, flag):
     out = tmp_path / "out"
-    assert run(*argv, "--data", small_csv, "--out", str(out)) == 1
+    argv = [small_csv if arg == "CSV" else arg for arg in argv]
+    assert run(*argv, "--out", str(out)) == 1
     assert capsys.readouterr().err.startswith(f"error: unrecognized arguments: {flag}")
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("reproduce figure1", "epochs=3"),
+    ("probe orbit", "mu=0.9"),
+    ("probe goldstone", "data=x.csv"),
+], ids=["figure1-epochs", "orbit-mu", "goldstone-data"])
+def test_config_keys_a_what_does_not_read_are_usage_errors(tmp_path, capsys, command, key):
+    config = tmp_path / "run.cfg"
+    config.write_text(key + "\n")
+    out = tmp_path / "out"
+    assert run(*command.split(), "--config", str(config), "--out", str(out)) == 1
+    name = key.split("=")[0]
+    assert capsys.readouterr().err == f"error: {config}: line 1: unknown key {name!r}\n"
     assert not (out / "manifest.json").exists()
 
 

@@ -1,5 +1,6 @@
 """The data path every data-reading command runs: CSV parse, shift
-augmentation and split, pinned against straightforward references."""
+augmentation, split, symmetrization, the closure check and the feature
+maps, pinned against straightforward references."""
 
 import os
 import subprocess
@@ -10,10 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import symdigits
+from symdigits.degeneracy import dataset_is_inversion_closed
 from symdigits.digits import (AUGMENT_SHIFTS, Dataset, _distinct_sorted, _parse_canonical,
-                              augment_shifts, bundled_data_path, load_optdigits, split)
+                              augment_shifts, bundled_data_path, load_optdigits,
+                              pixels_to_gray_levels, split, symmetrize)
+from symdigits.features import Identity, NeighborProduct, PermutationProduct, inversion
 
 from conftest import random_images
 
@@ -227,3 +232,107 @@ def test_data_path_does_not_import_numpy_ma():
         "import sys\n"
         "from symdigits.digits import augment_shifts, bundled_data_path, load_dataset, split\n"
         "split(augment_shifts(load_dataset(str(bundled_data_path()))), 0.25, seed=0)")
+
+
+# ---------------------------------------------------------------------------
+# symmetrization, closure check and feature maps: bit-equal to the
+# full-size expressions they replace
+# ---------------------------------------------------------------------------
+
+# few distinct values, both zeros among them, so that rows repeat and
+# sorting meets signed-zero ties
+PIXEL_VALUES = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.125, 1.0]) | st.floats(-1.0, 1.0)
+
+
+def images(max_rows=12):
+    return st.integers(0, max_rows).flatmap(
+        lambda n: arrays(np.float64, (n, 64), elements=PIXEL_VALUES))
+
+
+def same_bits(a, b):
+    """Equal shape and equal bit patterns: 0.0 and -0.0 differ."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def reference_is_closed(ds):
+    """The full-gather closure check: every sorted label block equals its
+    own reversed negation."""
+    order = np.lexsort((*ds.pixels.T, ds.labels))
+    rows = ds.pixels[order]
+    ends = np.flatnonzero(np.diff(ds.labels[order])) + 1
+    return all(np.array_equal(block, -block[::-1]) for block in np.split(rows, ends))
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=images())
+def test_symmetrize_matches_concatenated_inversion(x):
+    ds = Dataset(x, np.arange(len(x)) % 10, np.arange(len(x)))
+    sym = symmetrize(ds)
+    assert same_bits(sym.pixels, np.concatenate([x, inversion().apply(x)]))
+    assert np.array_equal(sym.labels, np.concatenate([ds.labels, ds.labels]))
+    assert np.array_equal(sym.origin_ids, np.concatenate([ds.origin_ids, ds.origin_ids]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=images(), data=st.data())
+def test_closure_check_matches_the_full_gather(x, data):
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=len(x), max_size=len(x)))
+    ds = Dataset(x, labels, np.arange(len(x)))
+    assert dataset_is_inversion_closed(ds) == reference_is_closed(ds)
+    closed = symmetrize(ds)
+    assert dataset_is_inversion_closed(closed) and reference_is_closed(closed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=images().filter(len), data=st.data())
+def test_closure_check_finds_a_perturbed_row_or_swapped_label(x, data):
+    closed = symmetrize(Dataset(x, np.arange(len(x)) % 4, np.arange(len(x))))
+    row = data.draw(st.integers(0, len(closed) - 1))
+    pixels = closed.pixels.copy()
+    col = data.draw(st.integers(0, 63))
+    pixels[row, col] = 0.5 if pixels[row, col] != 0.5 else -0.25
+    perturbed = Dataset(pixels, closed.labels, closed.origin_ids)
+    assert dataset_is_inversion_closed(perturbed) == reference_is_closed(perturbed)
+    labels = closed.labels.copy()
+    labels[row] = (labels[row] + 1) % 10
+    swapped = Dataset(closed.pixels, labels, closed.origin_ids)
+    assert dataset_is_inversion_closed(swapped) == reference_is_closed(swapped)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=images(), single=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_feature_maps_match_their_full_size_expressions(x, single, seed):
+    if single:
+        x = x[0] if len(x) else np.zeros(64)
+    grid = x.reshape(*x.shape[:-1], 8, 8)
+    assert same_bits(NeighborProduct().apply(x),
+                     (grid * np.roll(grid, -1, -1)).reshape(x.shape))
+    perm = PermutationProduct(seed)
+    assert same_bits(perm.apply(x), x * x[..., perm.perm])
+    assert same_bits(Identity().apply(x), x)
+
+
+# ---------------------------------------------------------------------------
+# the pixel range check
+# ---------------------------------------------------------------------------
+
+ONE_PLUS_ULP = np.nextafter(1.0, 2.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=images().filter(len), data=st.data(),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf, ONE_PLUS_ULP, -ONE_PLUS_ULP]))
+def test_pixels_outside_the_unit_range_are_rejected_anywhere(x, data, bad):
+    x = x.copy()
+    x[data.draw(st.integers(0, len(x) - 1)), data.draw(st.integers(0, 63))] = bad
+    with pytest.raises(ValueError, match=r"pixels must lie in \[-1, 1\]"):
+        Dataset(x, np.zeros(len(x)), np.arange(len(x)))
+    with pytest.raises(ValueError, match=r"pixels must lie in \[-1, 1\]"):
+        pixels_to_gray_levels(x)
+
+
+@pytest.mark.parametrize("value", [1.0, -1.0, -0.0, 0.0])
+def test_unit_range_endpoints_and_signed_zero_are_accepted(value):
+    x = np.full((3, 64), value)
+    assert same_bits(Dataset(x, np.zeros(3), np.arange(3)).pixels, x)
+    assert pixels_to_gray_levels(x).shape == (3, 64)
