@@ -109,7 +109,21 @@ def _resolve(args) -> dict:
             resolved[key] = file_values[key]
         else:
             resolved[key] = DEFAULTS[key]
+    for key in ("seed", "perm_seed"):
+        if resolved.get(key, 0) < 0:
+            raise CliError(f"--{key.replace('_', '-')} must be a non-negative integer, "
+                           f"got {resolved[key]}")
+    if "seeds" in resolved:
+        _seed_list(resolved["seeds"])
     return resolved
+
+
+def _seed_list(text) -> list[int]:
+    """The seeds of a ``--seeds`` value: comma-separated non-negative integers."""
+    seeds = [s.strip() for s in str(text).split(",") if s.strip() != ""]
+    if not all(s.isdecimal() for s in seeds):
+        raise CliError(f"--seeds must be comma-separated non-negative integers, got {text!r}")
+    return [int(s) for s in seeds]
 
 
 def _out_dir(resolved) -> Path:
@@ -251,7 +265,7 @@ def cmd_reproduce(args, resolved, out):
         print(f"triptych for sample {idx} (label {label}) -> {out}")
         return None if complement_exact else "inverted rendering is not the exact 255-complement"
 
-    seeds = [int(s) for s in str(resolved["seeds"]).split(",") if s.strip() != ""]
+    seeds = _seed_list(resolved["seeds"])
     ds = load_dataset(_data_path(resolved))
     augmented = augment_shifts(ds)
     config = _train_config(resolved)  # reproduce_tables sets each row's seed and bias
@@ -360,6 +374,9 @@ def _probe_goldstone(args, resolved, out):
 
 
 def _probe_sampled_loss(args, resolved, out):
+    trials, least = resolved["trials"], 1 if resolved["mu"] == 1.0 else 2
+    if trials < least:  # one trial at mu < 1 has no standard error to test against
+        raise CliError(f"--trials must be >= {least} at --mu {resolved['mu']}, got {trials}")
     ds = load_dataset(_data_path(resolved))
     samples = resolved["samples"]
     if not 1 <= samples <= len(ds):
@@ -368,7 +385,7 @@ def _probe_sampled_loss(args, resolved, out):
                    name="subset")
     mlp = init_mlp((64, 10, 5, 10), use_bias=False, seed_or_rng=resolved["seed"])
     report = sampled_loss_expectation(mlp, head, inversion_group(),
-                                      mu=resolved["mu"], trials=resolved["trials"],
+                                      mu=resolved["mu"], trials=trials,
                                       seed=resolved["seed"])
     if resolved["mu"] == 1.0:
         passed = report.trial_min == report.omega == report.trial_max

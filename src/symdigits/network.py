@@ -18,6 +18,9 @@ import numpy as np
 
 PAPER_HIDDEN_DIMS = (10, 5)
 N_CLASSES = 10
+# Mini-batches that train gathers with one np.take: at batch 32 a 512-row
+# block, which holds 256 kB of 64-dimensional features.
+GATHER_BATCHES = 16
 
 
 class TrainingDiverged(RuntimeError):
@@ -198,41 +201,79 @@ def total_loss(mlp: Mlp, features, labels) -> float:
     return float(np.sum(sample_loss(mlp, features, labels)))
 
 
-def loss_and_gradients(mlp: Mlp, X: np.ndarray, y: np.ndarray,
-                       grads: list[Layer] | None = None) -> tuple[float, list[Layer]]:
+class _Workspace:
+    """What one backprop pass over m rows writes, built once per m: each
+    layer's (m, fan_out) output (the last one's goes from logits to the
+    output delta), each hidden layer's delta and 1 - a*a, and the per-row
+    softmax max and sum."""
+
+    def __init__(self, layers: list[Layer], m: int):
+        self.acts = [np.empty((m, l.fan_out)) for l in layers]
+        self.deltas = [np.empty((m, l.fan_out)) for l in layers[:-1]]
+        self.slopes = [np.empty((m, l.fan_out)) for l in layers[:-1]]
+        self.row = np.empty((m, 1))
+
+
+def _backprop(layers: list[Layer], X: np.ndarray, onehot: np.ndarray,
+              codes: np.ndarray, picked: np.ndarray, grads: list[Layer],
+              ws: _Workspace) -> None:
+    """The one backpropagation kernel: forward and backward over the m rows
+    of ``X``, in the operation order of ``_layer_outputs``, ``softmax`` and
+    ``cross_entropy_loss``, so that every result is bit-equal to theirs.
+
+    ``onehot`` holds the labels one-hot and ``codes`` as flat indices
+    row * n_classes + label; subtracting ``onehot`` is subtracting 1 at
+    each label, since x - 0.0 == x.  Each row's label probability goes to
+    ``picked``, and the gradient of the mean loss to the C-contiguous
+    arrays of ``grads``.
+    """
+    h = X
+    last = len(layers) - 1
+    for i, layer in enumerate(layers):
+        z = np.dot(h, layer.weights.T, out=ws.acts[i])
+        if layer.bias is not None:
+            z += layer.bias
+        if i < last:
+            np.tanh(z, out=z)
+        h = z
+    if not np.isfinite(h).all():
+        raise ValueError("softmax requires finite logits")
+    delta, row = h, ws.row
+    np.maximum.reduce(delta, axis=1, keepdims=True, out=row)
+    delta -= row
+    np.exp(delta, out=delta)
+    np.add.reduce(delta, axis=1, keepdims=True, out=row)
+    delta /= row  # the softmax probabilities
+    delta.take(codes, out=picked, mode="clip")  # codes are in range; "clip" skips a copy
+    delta -= onehot
+    delta /= float(len(delta))
+    for i in range(last, -1, -1):
+        a_prev = ws.acts[i - 1] if i else X
+        np.dot(delta.T, a_prev, out=grads[i].weights)
+        if grads[i].bias is not None:
+            np.add.reduce(delta, axis=0, out=grads[i].bias)
+        if i:
+            slope = np.multiply(a_prev, a_prev, out=ws.slopes[i - 1])
+            np.subtract(1.0, slope, out=slope)
+            delta = np.dot(delta, layers[i].weights, out=ws.deltas[i - 1])
+            delta *= slope
+
+
+def loss_and_gradients(mlp: Mlp, X: np.ndarray, y: np.ndarray) -> tuple[float, list[Layer]]:
     """Summed cross-entropy over a batch and the gradient of its mean.
 
     ``X`` is (n, fan_in) float64 and ``y`` holds n integer labels, which the
-    caller has checked to lie in 0..n_classes-1.  This is the one
-    backpropagation path: train steps along it and grad_check checks it.
-    The gradient list has one Layer per network layer; bias slots are None
-    exactly where the network has no bias.  ``grads``, when given, is such
-    a list with C-contiguous arrays, and the gradients are written into it.
-    Softmax and the loss are the operations of ``softmax`` and
-    ``cross_entropy_loss``, inline and without their label check.
+    caller has checked to lie in 0..n_classes-1.  It runs ``_backprop``,
+    the kernel that train steps along, so grad_check checks the code that
+    trains.  The gradient list has one Layer per network layer; bias slots
+    are None exactly where the network has no bias.
     """
-    activations = _layer_outputs(mlp.layers, X)
-    logits = activations[-1]
-    if not np.isfinite(logits).all():
-        raise ValueError("softmax requires finite logits")
-    n = len(y)
-    rows = np.arange(n)
-    delta = logits - logits.max(axis=-1, keepdims=True)
-    np.exp(delta, out=delta)
-    delta /= delta.sum(axis=-1, keepdims=True)  # the softmax probabilities
-    loss = float(np.sum(-np.log(np.maximum(delta[rows, y], 1e-15))))
-    delta[rows, y] -= 1.0
-    delta /= n
-    if grads is None:
-        grads = _flatten(mlp.layers)[1]  # every entry is overwritten below
-    for i in range(len(mlp.layers) - 1, -1, -1):
-        a_prev = activations[i]
-        np.dot(delta.T, a_prev, out=grads[i].weights)
-        if grads[i].bias is not None:
-            np.sum(delta, axis=0, out=grads[i].bias)
-        if i > 0:
-            delta = np.dot(delta, mlp.layers[i].weights) * (1.0 - a_prev * a_prev)
-    return loss, grads
+    n, n_classes = len(y), mlp.layers[-1].fan_out
+    picked = np.empty(n)
+    grads = _flatten(mlp.layers)[1]  # every entry is overwritten by the kernel
+    _backprop(mlp.layers, X, np.eye(n_classes)[y], np.arange(n) * n_classes + y, picked,
+              grads, _Workspace(mlp.layers, n))
+    return float(np.sum(-np.log(np.maximum(picked, 1e-15)))), grads
 
 
 def backward(mlp: Mlp, features, label) -> list[Layer]:
@@ -286,6 +327,12 @@ def train(config: TrainConfig, features, labels) -> TrainResult:
     flat buffer that the per-layer arrays view, so one momentum update
     covers every layer; element by element it is the per-layer update
     v = momentum*v - lr*g, W = W + v.
+
+    The shuffled rows are gathered GATHER_BATCHES batches at a time into
+    one block, and each step runs ``_backprop`` on a row view of it.  The
+    epoch loss is reduced once per epoch from the label probabilities the
+    steps keep: per-batch sums of log p (one row reduction, bit-equal to
+    each batch's np.sum), added in batch order as -sum == sum(-log p).
     """
     X = np.asarray(features, dtype=np.float64)
     y = as_integers(labels, "labels")
@@ -304,26 +351,50 @@ def train(config: TrainConfig, features, labels) -> TrainResult:
     mlp = Mlp(layers)
     vel = np.zeros_like(params)
     grad, grads = _flatten(init.layers)  # every step overwrites every entry
+    batch = config.batch_size
+    workspaces = {m: _Workspace(layers, m) for m in {batch, n % batch} - {0}}
+    block = np.empty((min(n, GATHER_BATCHES * batch), X.shape[1]))
+    onehot = np.empty((len(block), N_CLASSES))
+    codes = np.empty(len(block), dtype=np.int64)
+    offsets = N_CLASSES * (np.arange(len(block)) % batch)  # row in its batch, times n_classes
+    eye = np.eye(N_CLASSES)
+    picked = np.empty(n)
+    full = n - n % batch
     epoch_losses = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            try:
-                batch_loss, _ = loss_and_gradients(mlp, X[idx], y[idx], grads)
-            except ValueError as exc:  # labels are checked above: the logits overflowed
-                raise TrainingDiverged(f"{exc} in epoch {epoch}") from None
-            loss_sum += batch_loss
-            vel *= config.momentum
-            grad *= config.learning_rate
-            vel -= grad
-            params += vel
-            if not np.isfinite(params).all():
+        for a in range(0, n, len(block)):
+            b = min(a + len(block), n)
+            # each block starts a batch; indices are in range, and "clip"
+            # skips the copy that "raise" makes with out=
+            rows = X.take(order[a:b], axis=0, out=block[:b - a], mode="clip")
+            block_codes = y.take(order[a:b], out=codes[:b - a], mode="clip")  # labels, so far
+            hot = eye.take(block_codes, axis=0, out=onehot[:b - a], mode="clip")
+            block_codes += offsets[:b - a]  # now the flat codes
+            for s in range(0, b - a, batch):
+                e = min(s + batch, b - a)
                 try:
-                    mlp.check_finite()
-                except TrainingDiverged as exc:
+                    _backprop(layers, rows[s:e], hot[s:e], block_codes[s:e],
+                              picked[a + s:a + e], grads, workspaces[e - s])
+                except ValueError as exc:  # labels are checked above: the logits overflowed
                     raise TrainingDiverged(f"{exc} in epoch {epoch}") from None
+                vel *= config.momentum
+                grad *= config.learning_rate
+                vel -= grad
+                params += vel
+                if not np.isfinite(params).all():
+                    try:
+                        mlp.check_finite()
+                    except TrainingDiverged as exc:
+                        raise TrainingDiverged(f"{exc} in epoch {epoch}") from None
+        np.maximum(picked, 1e-15, out=picked)
+        np.log(picked, out=picked)
+        sums = np.add.reduce(picked[:full].reshape(-1, batch), axis=1).tolist()
+        if full < n:
+            sums.append(float(np.sum(picked[full:])))
+        loss_sum = 0.0
+        for s in sums:
+            loss_sum += -s
         epoch_losses.append(loss_sum / n)
     return TrainResult(mlp=mlp.copy(), epoch_losses=epoch_losses)
 

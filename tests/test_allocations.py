@@ -1,7 +1,7 @@
-"""Peak memory of the data path, traced with tracemalloc.
+"""Peak memory of the data path and of training, traced with tracemalloc.
 
-Validation, symmetrization, the closure check and the identity feature map
-build no full-size temporary.  Each bound is the size of what the call
+Validation, symmetrization, the closure check, the identity feature map
+and training build no full-size temporary.  Each bound is the size of what the call
 must hold (its result, or one label block) plus a margin over the measured
 peak; the full-size copies these calls once made fail it by a wide margin.
 """
@@ -14,6 +14,7 @@ import pytest
 from symdigits.degeneracy import dataset_is_inversion_closed
 from symdigits.digits import Dataset, symmetrize
 from symdigits.features import Identity, NeighborProduct, PermutationProduct, Square
+from symdigits.network import N_CLASSES, TrainConfig, train
 
 from conftest import random_images
 
@@ -75,3 +76,20 @@ def test_identity_features_are_a_read_only_view(dataset):
 def test_product_maps_allocate_only_their_result(dataset, kind):
     feats, peak = traced_peak(lambda: kind.apply(dataset.pixels))
     assert peak <= 1.05 * feats.nbytes  # measured: at most 1.026 x (the perm gather)
+
+
+def test_training_holds_one_gather_block_and_a_few_vectors():
+    # the X_train size of one table seed, through the read-only identity view
+    n = 6740
+    feats = Identity().apply(random_images(n, seed=2))
+    labels = np.random.default_rng(2).integers(0, N_CLASSES, n)
+    config = TrainConfig(seed=0, epochs=2)
+    result, peak = traced_peak(lambda: train(config, feats, labels))
+    assert len(result.epoch_losses) == 2
+    # one 512-row block (16 batches of 32) of gathered features and one-hot
+    # labels; a 2048-row block added 0.8 MB to the peak RSS of a table run
+    block = 512 * (feats.shape[1] + N_CLASSES) * 8
+    # plus six n-vectors of 8 bytes (the current and the last epoch order,
+    # the label probabilities, ...); measured 541 kB against this 627 kB
+    # bound; a full gather of the features alone is 3.45 MB
+    assert peak <= block + 48 * n

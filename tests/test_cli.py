@@ -193,14 +193,49 @@ def test_probe_sampled_loss_mu_one_exact(tmp_path, small_csv):
     assert payload["trial_min"] == payload["omega"] == payload["trial_max"]
 
 
-def test_failed_probe_writes_payload_and_manifest(tmp_path, small_csv, capsys):
+def test_failed_probe_writes_payload_and_manifest(tmp_path, capsys):
+    # C_10 is far from the continuous limit: its curvature ratio fails the 0.01 check
+    out = tmp_path / "gold"
+    assert run("probe", "goldstone", "--n", "10", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "check failed: goldstone probe failed its exact tolerances\n"
+    payload = json.loads((out / "probe_goldstone.json").read_text())
+    assert payload["passed"] is False and payload["sweep"][-1]["n"] == 10
+    assert manifest(out)["command"] == "probe goldstone"
+
+
+@pytest.mark.parametrize("mu, trials, least", [("0.5", "1", 2), ("0.9", "0", 2), ("1.0", "0", 1)])
+def test_sampled_loss_trials_without_a_standard_error_exit_one(tmp_path, capsys, mu, trials,
+                                                                least):
+    # one trial at mu < 1 has no standard error, so the check could never pass
     out = tmp_path / "sl"
-    assert run("probe", "sampled-loss", "--data", small_csv, "--trials", "1",
-               "--out", str(out)) == 2
-    assert capsys.readouterr().err.startswith("check failed: sampled-loss mean")
-    payload = json.loads((out / "probe_sampled_loss.json").read_text())
-    assert payload["passed"] is False and payload["trials"] == 1
-    assert manifest(out)["command"] == "probe sampled-loss"
+    assert run("probe", "sampled-loss", "--mu", mu, "--trials", trials, "--out", str(out)) == 1
+    assert capsys.readouterr().err == \
+        f"error: --trials must be >= {least} at --mu {float(mu)}, got {trials}\n"
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reproduce", "table1", "--seeds", "0,x"],
+     "--seeds must be comma-separated non-negative integers, got '0,x'"),
+    (["reproduce", "table2", "--seeds", "1,-2"],
+     "--seeds must be comma-separated non-negative integers, got '1,-2'"),
+    (["train", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+    (["train", "--features", "perm", "--perm-seed", "-1"],
+     "--perm-seed must be a non-negative integer, got -1"),
+    (["eval", "--model", "model.json", "--seed", "-3"],
+     "--seed must be a non-negative integer, got -3"),
+    (["probe", "orbit", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+    (["train", "--config", "CONFIG"], "--seed must be a non-negative integer, got -4"),
+], ids=["seeds-letter", "seeds-negative", "train-seed", "perm-seed", "eval-seed", "probe-seed",
+        "config-seed"])
+def test_bad_seeds_exit_one_naming_their_flag(tmp_path, capsys, argv, message):
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = -4\n")
+    out = tmp_path / "out"
+    argv = [str(config) if a == "CONFIG" else a for a in argv]
+    assert run(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, extra, keys", [

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from symdigits.network import (Layer, Mlp, TrainConfig, TrainingDiverged,
-                               _layer_outputs, backward, cross_entropy_loss, forward,
-                               grad_check, init_mlp, predict, softmax, total_loss, train)
+from symdigits.network import (GATHER_BATCHES, PAPER_HIDDEN_DIMS, Layer, Mlp, TrainConfig,
+                               TrainingDiverged, TrainResult, _flatten, _layer_outputs,
+                               as_integers, backward, cross_entropy_loss, forward, grad_check,
+                               init_mlp, loss_and_gradients, predict, softmax, total_loss,
+                               train)
 
 from conftest import random_images
 
@@ -402,3 +404,156 @@ def test_total_loss_is_sum_of_sample_losses():
 def test_mlp_rejects_mismatched_dims():
     with pytest.raises(ValueError, match="chain"):
         Mlp([Layer(np.zeros((10, 64))), Layer(np.zeros((5, 11)))])
+
+
+# ---------------------------------------------------------------------------
+# the buffered backprop kernel and train, against the loop they replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_loss_and_gradients(mlp, X, y, grads=None):
+    """The per-call backprop loop that the buffered kernel replaced, kept
+    verbatim as the reference for its bits."""
+    activations = _layer_outputs(mlp.layers, X)
+    logits = activations[-1]
+    if not np.isfinite(logits).all():
+        raise ValueError("softmax requires finite logits")
+    n = len(y)
+    rows = np.arange(n)
+    delta = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(delta, out=delta)
+    delta /= delta.sum(axis=-1, keepdims=True)  # the softmax probabilities
+    loss = float(np.sum(-np.log(np.maximum(delta[rows, y], 1e-15))))
+    delta[rows, y] -= 1.0
+    delta /= n
+    if grads is None:
+        grads = _flatten(mlp.layers)[1]  # every entry is overwritten below
+    for i in range(len(mlp.layers) - 1, -1, -1):
+        a_prev = activations[i]
+        np.dot(delta.T, a_prev, out=grads[i].weights)
+        if grads[i].bias is not None:
+            np.sum(delta, axis=0, out=grads[i].bias)
+        if i > 0:
+            delta = np.dot(delta, mlp.layers[i].weights) * (1.0 - a_prev * a_prev)
+    return loss, grads
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_train(config, features, labels):
+    """train's step loop before the gather block and the per-epoch loss: a
+    fresh batch copy, a reference_loss_and_gradients call and a loss sum
+    per step."""
+    X = np.asarray(features, dtype=np.float64)
+    y = as_integers(labels, "labels")
+    n = len(y)
+    rng = np.random.default_rng(config.seed)
+    init = init_mlp((X.shape[1], *PAPER_HIDDEN_DIMS, 10), config.use_bias, rng)
+    params, layers = _flatten(init.layers)
+    mlp = Mlp(layers)
+    vel = np.zeros_like(params)
+    grad, grads = _flatten(init.layers)
+    epoch_losses = []
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            batch_loss, _ = reference_loss_and_gradients(mlp, X[idx], y[idx], grads)
+            loss_sum += batch_loss
+            vel *= config.momentum
+            grad *= config.learning_rate
+            vel -= grad
+            params += vel
+        epoch_losses.append(loss_sum / n)
+    return TrainResult(mlp=mlp.copy(), epoch_losses=epoch_losses)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_layers(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert same_bits(g.weights, w.weights)
+        assert (g.bias is None) == (w.bias is None)
+        assert g.bias is None or same_bits(g.bias, w.bias)
+
+
+@st.composite
+def nets_and_batches(draw):
+    """A random network (any depth, bias mode and class count) and batch.
+    Scaled weights saturate tanh and push label probabilities below the
+    1e-15 clamp of the loss."""
+    dims = [draw(st.integers(1, 16)), *draw(st.lists(st.integers(1, 12), max_size=3)),
+            draw(st.integers(2, 12))]
+    use_bias = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mlp = init_mlp(dims, use_bias, rng)
+    scale = draw(st.sampled_from([1.0, 8.0, 64.0]))
+    for layer in mlp.layers:
+        layer.weights *= scale
+        if use_bias:
+            layer.bias[:] = rng.uniform(-scale, scale, layer.fan_out)
+    n = draw(st.integers(1, 40))
+    return mlp, rng.uniform(-1, 1, (n, dims[0])), rng.integers(0, dims[-1], n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nets_and_batches())
+def test_backprop_kernel_is_bit_equal_to_the_loop_it_replaced(case):
+    mlp, X, y = case
+    loss, grads = loss_and_gradients(mlp, X, y)
+    want_loss, want_grads = reference_loss_and_gradients(mlp, X, y)
+    assert same_bits(np.float64(loss), np.float64(want_loss))
+    assert_same_layers(grads, want_grads)
+
+
+@pytest.mark.parametrize("n, batch", [(37, 1), (20, 20), (44, 8), (75, 2), (100, 3)], ids=[
+    "batch-1-three-blocks",
+    "batch-n",
+    "under-one-block-partial-batch",
+    "three-blocks-partial-last-batch",
+    "last-block-one-batch-and-a-row",
+])
+@pytest.mark.parametrize("use_bias", [False, True], ids=["no-bias", "bias"])
+@pytest.mark.parametrize("momentum", [0.0, 0.9], ids=["momentum-0", "momentum-0.9"])
+def test_train_is_bit_equal_to_the_reference_step_loop(n, batch, use_bias, momentum):
+    features, labels = toy_feature_set(n=n, seed=n)
+    config = TrainConfig(seed=batch, epochs=3, batch_size=batch, learning_rate=0.05,
+                         momentum=momentum, use_bias=use_bias)
+    got, want = train(config, features, labels), reference_train(config, features, labels)
+    assert_same_layers(got.mlp.layers, want.mlp.layers)
+    assert got.epoch_losses == want.epoch_losses
+    assert all(type(loss) is float for loss in got.epoch_losses)
+
+
+def features_with_bad_row(n, position, value, seed=0):
+    """Toy features whose row at ``position`` of the first epoch's order
+    (for TrainConfig(seed=seed)) holds one pixel set to ``value``."""
+    rng = np.random.default_rng(seed)  # drawn in train's order: init, then one shuffle
+    init_mlp((64, 10, 5, 10), False, rng)
+    row = rng.permutation(n)[position]
+    features, labels = toy_feature_set(n=n, seed=1)
+    features[row, 5] = value
+    return features, labels
+
+
+# A NaN pixel reaches the logits.  An inf pixel does not (tanh(inf) is 1),
+# but it makes the layer-0 weight gradient non-finite.  The messages are
+# the ones the per-step loop gave.
+@pytest.mark.parametrize("value, message", [
+    (np.nan, "softmax requires finite logits in epoch 1"),
+    (np.inf, "non-finite weights in layer 0 in epoch 1"),
+], ids=["logits", "weights"])
+@pytest.mark.parametrize("n, batch, position", [
+    (52, 8, 49),  # in batch 7, the partial last batch (rows 48..51)
+    (40, 2, 35),  # in the second gather block (rows 32..39)
+], ids=["partial-last-batch", "second-gather-block"])
+def test_divergence_names_its_cause_and_epoch(value, message, n, batch, position):
+    assert position >= n - n % batch or position >= GATHER_BATCHES * batch
+    features, labels = features_with_bad_row(n, position, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged) as info:
+            train(TrainConfig(seed=0, epochs=2, batch_size=batch), features, labels)
+    assert str(info.value) == message
