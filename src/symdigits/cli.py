@@ -19,10 +19,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import shutil
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +36,10 @@ from .digits import (Dataset, augment_shifts, bundled_data_path, class_counts,
                      dataset_stats, invert_dataset, load_dataset, pixels_to_gray_levels,
                      render_image, split, symmetrize)
 from .experiments import CELLS, bound_check, evaluate, format_verdicts, reproduce_tables
-from .features import (Identity, NeighborProduct, feature_map_from_name,
-                       inversion_group)
-from .network import TrainConfig, TrainingDiverged, init_mlp, train
+from .features import (FEATURE_NAMES, N_PIXELS, Identity, NeighborProduct,
+                       feature_map_from_name, inversion_group)
+from .network import (N_CLASSES, PAPER_HIDDEN_DIMS, TrainConfig, TrainingDiverged, init_mlp,
+                      train)
 from .persistence import load_model, save_model
 from .svg import bar_chart, line_chart
 
@@ -66,6 +68,26 @@ DEFAULTS = {
     "samples": 200,
     "test_fraction": 0.25,
 }
+
+# the library checks these ranges too; checked here first, so that the
+# message names the flag: key -> (is_legal(value, resolved), legal values)
+_RANGES = {
+    "seed": (lambda v, r: v >= 0, "a non-negative integer"),
+    "perm_seed": (lambda v, r: v >= 0, "a non-negative integer"),
+    "epochs": (lambda v, r: v >= 1, ">= 1"),
+    "lr": (lambda v, r: math.isfinite(v) and v >= 0, "finite and >= 0"),
+    "batch": (lambda v, r: v >= 1, ">= 1"),
+    "momentum": (lambda v, r: 0 <= v < 1, "in [0, 1)"),
+    "jobs": (lambda v, r: v >= 1, ">= 1"),
+    "n": (lambda v, r: v >= 1, ">= 1"),
+    "mu": (lambda v, r: 0 < v <= 1, "in (0, 1]"),
+    # one trial at mu < 1 has no standard error to test against
+    "trials": (lambda v, r: v >= (1 if r["mu"] == 1 else 2),
+               lambda r: f">= {1 if r['mu'] == 1 else 2} at --mu {r['mu']}"),
+    "test_fraction": (lambda v, r: 0 < v < 1, "in (0, 1)"),
+}
+# the probes' fresh networks
+PAPER_DIMS = (N_PIXELS, *PAPER_HIDDEN_DIMS, N_CLASSES)
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 # config-file value parser by the type of the key's default; the rest are strings
@@ -109,10 +131,10 @@ def _resolve(args) -> dict:
             resolved[key] = file_values[key]
         else:
             resolved[key] = DEFAULTS[key]
-    for key in ("seed", "perm_seed"):
-        if resolved.get(key, 0) < 0:
-            raise CliError(f"--{key.replace('_', '-')} must be a non-negative integer, "
-                           f"got {resolved[key]}")
+    for key, (is_legal, legal) in _RANGES.items():
+        if key in resolved and not is_legal(resolved[key], resolved):
+            legal = legal(resolved) if callable(legal) else legal
+            raise CliError(f"--{key.replace('_', '-')} must be {legal}, got {resolved[key]}")
     if "seeds" in resolved:
         _seed_list(resolved["seeds"])
     return resolved
@@ -121,15 +143,9 @@ def _resolve(args) -> dict:
 def _seed_list(text) -> list[int]:
     """The seeds of a ``--seeds`` value: comma-separated non-negative integers."""
     seeds = [s.strip() for s in str(text).split(",") if s.strip() != ""]
-    if not all(s.isdecimal() for s in seeds):
+    if not seeds or not all(s.isdecimal() for s in seeds):
         raise CliError(f"--seeds must be comma-separated non-negative integers, got {text!r}")
     return [int(s) for s in seeds]
-
-
-def _out_dir(resolved) -> Path:
-    out = Path(resolved["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -155,10 +171,6 @@ def _load_splits(resolved) -> tuple[Dataset, Dataset]:
     ds = load_dataset(_data_path(resolved))
     augmented = augment_shifts(ds)
     return split(augmented, test_fraction=resolved["test_fraction"], seed=resolved["seed"])
-
-
-def _feature_map(resolved):
-    return feature_map_from_name(resolved["features"], resolved["perm_seed"])
 
 
 def _train_config(resolved, **fixed) -> TrainConfig:
@@ -193,7 +205,7 @@ def cmd_data(args, resolved, out):
 
 
 def cmd_train(args, resolved, out):
-    feature_map = _feature_map(resolved)
+    feature_map = feature_map_from_name(resolved["features"], resolved["perm_seed"])
     config = _train_config(resolved, seed=resolved["seed"], use_bias=resolved["bias"])
     train_ds, test_ds = _load_splits(resolved)
     result = train(config, feature_map.apply(train_ds.pixels), train_ds.labels)
@@ -319,7 +331,7 @@ def _probe_weight_flip(args, resolved, out):
         if mlp.use_bias or not isinstance(feature_map, Identity):
             raise CliError("weight-flip probe needs a bias-free identity-feature model")
     else:
-        mlp = init_mlp((64, 10, 5, 10), use_bias=False, seed_or_rng=resolved["seed"])
+        mlp = init_mlp(PAPER_DIMS, use_bias=False, seed_or_rng=resolved["seed"])
     witness = weight_flip_deviation(mlp, shifted)
     subset = symmetrize(shifted)
     del shifted  # not held through the closure check, whose sorted copies set the peak memory
@@ -342,7 +354,7 @@ def _probe_orbit(args, resolved, out):
     with open(out / "orbit_profile.csv", "w", newline="", encoding="ascii") as f:
         writer = csv.writer(f)
         writer.writerow(["theta", "omega"])
-        writer.writerows(scan.to_rows())
+        writer.writerows(zip(scan.angles.tolist(), scan.losses.tolist()))
     line_chart(out / "orbit_valley.svg", scan.angles.tolist(), scan.losses.tolist(),
                title=f"loss along the weight orbit (n={task.n})",
                x_label="orbit angle", y_label="symmetrized loss")
@@ -360,7 +372,7 @@ def _probe_goldstone(args, resolved, out):
     final = reports[-1]
     monotone = all(a >= b for a, b in zip(curvatures, curvatures[1:]))
     payload = {
-        "sweep": [r.to_dict() for r in reports],
+        "sweep": [asdict(r) for r in reports],
         "curvature_non_increasing": monotone,
         "directional_derivative": final.directional_derivative,
         "curvature_ratio": final.curvature_ratio,
@@ -374,24 +386,21 @@ def _probe_goldstone(args, resolved, out):
 
 
 def _probe_sampled_loss(args, resolved, out):
-    trials, least = resolved["trials"], 1 if resolved["mu"] == 1.0 else 2
-    if trials < least:  # one trial at mu < 1 has no standard error to test against
-        raise CliError(f"--trials must be >= {least} at --mu {resolved['mu']}, got {trials}")
     ds = load_dataset(_data_path(resolved))
     samples = resolved["samples"]
     if not 1 <= samples <= len(ds):
         raise CliError(f"--samples must be in 1..{len(ds)}, got {samples}")
     head = Dataset(ds.pixels[:samples], ds.labels[:samples], ds.origin_ids[:samples],
                    name="subset")
-    mlp = init_mlp((64, 10, 5, 10), use_bias=False, seed_or_rng=resolved["seed"])
+    mlp = init_mlp(PAPER_DIMS, use_bias=False, seed_or_rng=resolved["seed"])
     report = sampled_loss_expectation(mlp, head, inversion_group(),
-                                      mu=resolved["mu"], trials=trials,
+                                      mu=resolved["mu"], trials=resolved["trials"],
                                       seed=resolved["seed"])
     if resolved["mu"] == 1.0:
         passed = report.trial_min == report.omega == report.trial_max
     else:
         passed = abs(report.ratio - 1.0) <= 3.0 * report.ratio_std_error
-    return ({**report.to_dict(), "passed": bool(passed)},
+    return ({**asdict(report), "passed": bool(passed)},
             f"sampled-loss ratio {report.ratio:.6f} "
             f"(+- {report.ratio_std_error:.6f}, mu={report.mu})",
             "sampled-loss mean is outside three standard errors")
@@ -434,7 +443,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     bias = p.add_mutually_exclusive_group()
     bias.add_argument("--bias", dest="bias", action="store_true", default=None)
     bias.add_argument("--no-bias", dest="bias", action="store_false", default=None)
-    p.add_argument("--features", choices=["identity", "square", "neighbor", "perm"])
+    p.add_argument("--features", choices=FEATURE_NAMES)
     p.add_argument("--perm-seed", dest="perm_seed", type=int)
 
 
@@ -524,7 +533,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         resolved = _resolve(args)
-        out = _out_dir(resolved)
+        out = Path(resolved["out"])
+        out.mkdir(parents=True, exist_ok=True)
         failure = args.func(args, resolved, out)
         command = f"{args.command} {args.what}" if hasattr(args, "what") else args.command
         _write_manifest(out, command, resolved)

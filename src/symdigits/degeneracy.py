@@ -15,7 +15,7 @@ flattens toward a continuous (Goldstone-like) flat direction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,9 +89,6 @@ class SampledLossReport:
     ratio_std_error: float  # standard error of the ratio, from trial variance
     trial_min: float        # at mu=1 every single trial equals omega exactly
     trial_max: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def sampled_loss_expectation(mlp: Mlp, ds: Dataset, group: list[PixelAction],
@@ -311,9 +308,6 @@ class OrbitScan:
     losses: np.ndarray
     relative_spread: float
 
-    def to_rows(self) -> list[tuple[float, float]]:
-        return list(zip(self.angles.tolist(), self.losses.tolist()))
-
 
 def orbit_loss_scan(task: ToyRotationTask, w) -> OrbitScan:
     """Loss along the weight orbit {R(2 pi k / n) w}.
@@ -391,9 +385,6 @@ class CurvatureReport:
     radial_curvature: float
     curvature_ratio: float           # generator / radial, after flooring
     smallest_hessian_eigenvalue: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 CURVATURE_STEP = 1e-4       # spacing of the second differences

@@ -15,10 +15,9 @@ import warnings
 import numpy as np
 
 from .features import GRID, N_PIXELS, SHIFT_FILL, inversion, shift
-from .network import as_integers
+from .network import N_CLASSES, as_integers
 
 RAW_MAX = 16
-N_CLASSES = 10
 
 # order matters: original, right, left, down, up
 AUGMENT_SHIFTS = [shift(0, 0), shift(1, 0), shift(-1, 0), shift(0, 1), shift(0, -1)]

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .digits import Dataset, N_CLASSES, invert_dataset, split, symmetrize
+from .digits import Dataset, invert_dataset, split, symmetrize
 from .features import FeatureMapKind, Identity, feature_map_from_name
-from .network import Mlp, TrainConfig, predict, forward, train
+from .network import N_CLASSES, Mlp, TrainConfig, predict, forward, train
 
 
 def accuracy(mlp: Mlp, feature_map: FeatureMapKind, dataset: Dataset):

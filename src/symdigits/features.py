@@ -201,20 +201,18 @@ class PermutationProduct:
         return prod
 
 
-FeatureMapKind = Union[Identity, Square, NeighborProduct, PermutationProduct]
+_KINDS = (Identity, Square, NeighborProduct, PermutationProduct)
+FeatureMapKind = Union[_KINDS]
+FEATURE_NAMES = tuple(kind.name for kind in _KINDS)
 
 
 def feature_map_from_name(name: str, perm_seed: int = 0) -> FeatureMapKind:
-    table = {
-        "identity": Identity(),
-        "square": Square(),
-        "neighbor": NeighborProduct(),
-        "perm": PermutationProduct(perm_seed),
-    }
-    try:
-        return table[name]
-    except KeyError:
-        raise ValueError(f"unknown feature map {name!r}; choose from {sorted(table)}") from None
+    """The feature map called ``name``, one of FEATURE_NAMES; ``perm_seed``
+    seeds the permutation of "perm"."""
+    for kind in _KINDS:
+        if kind.name == name:
+            return kind(perm_seed) if kind is PermutationProduct else kind()
+    raise ValueError(f"unknown feature map {name!r}; choose from {sorted(FEATURE_NAMES)}")
 
 
 def relative_sign(pixels, i: int, j: int) -> float:

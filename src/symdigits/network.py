@@ -82,13 +82,6 @@ class Mlp:
     def copy(self) -> "Mlp":
         return Mlp([l.copy() for l in self.layers])
 
-    def check_finite(self) -> None:
-        for i, layer in enumerate(self.layers):
-            if not np.isfinite(layer.weights).all():
-                raise TrainingDiverged(f"non-finite weights in layer {i}")
-            if layer.bias is not None and not np.isfinite(layer.bias).all():
-                raise TrainingDiverged(f"non-finite bias in layer {i}")
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -144,34 +137,58 @@ def _check_features(mlp: Mlp, h: np.ndarray) -> None:
             f"{mlp.layers[0].fan_in}")
 
 
-def _layer_outputs(layers: list[Layer], h: np.ndarray) -> list[np.ndarray]:
-    """[input, hidden..., logits] of the layer recurrence."""
-    outputs = [h]
+def _forward(layers: list[Layer], h: np.ndarray, outs: list[np.ndarray]) -> np.ndarray:
+    """The layer recurrence: layer i's output goes to ``outs[i]`` (tanh on
+    the hidden layers); returns the last one, the logits."""
     last = len(layers) - 1
     for i, layer in enumerate(layers):
-        z = np.dot(h, layer.weights.T)
+        h = np.dot(h, layer.weights.T, out=outs[i])
         if layer.bias is not None:
-            z = z + layer.bias
-        h = z if i == last else np.tanh(z)
-        outputs.append(h)
-    return outputs
+            h += layer.bias
+        if i < last:
+            np.tanh(h, out=h)
+    return h
 
 
 def forward(mlp: Mlp, features) -> np.ndarray:
     """The logits of a feature vector (fan_in,) or a batch (n, fan_in)."""
     h = np.asarray(features, dtype=np.float64)
     _check_features(mlp, h)
-    return _layer_outputs(mlp.layers, h)[-1]
+    return _forward(mlp.layers, h, [np.empty((*h.shape[:-1], l.fan_out)) for l in mlp.layers])
+
+
+def _check_logits(z: np.ndarray) -> None:
+    if not np.isfinite(z).all():
+        raise ValueError("softmax requires finite logits")
+
+
+def _softmax(z: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis of ``z``, in place, with max-subtraction;
+    ``row`` (z's shape, last axis 1) holds the max, then the sum."""
+    np.maximum.reduce(z, axis=-1, keepdims=True, out=row)
+    z -= row
+    np.exp(z, out=z)
+    np.add.reduce(z, axis=-1, keepdims=True, out=row)
+    z /= row
+    return z
 
 
 def softmax(logits) -> np.ndarray:
     """Normalized probabilities, computed with max-subtraction."""
     z = np.asarray(logits, dtype=np.float64)
-    if not np.isfinite(z).all():
-        raise ValueError("softmax requires finite logits")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    _check_logits(z)
+    return _softmax(z.copy(), np.empty((*z.shape[:-1], 1)))
+
+
+def _log_probability(p: np.ndarray) -> np.ndarray:
+    """log(max(p, 1e-15)), in place."""
+    np.maximum(p, 1e-15, out=p)
+    return np.log(p, out=p)
+
+
+def _check_labels(y: np.ndarray, n_classes: int) -> None:
+    if np.any(y < 0) or np.any(y >= n_classes):
+        raise ValueError(f"label outside 0..{n_classes - 1}")
 
 
 def predict(mlp: Mlp, features) -> int | np.ndarray:
@@ -184,10 +201,9 @@ def cross_entropy_loss(probabilities, label) -> float | np.ndarray:
     """-log p_label, with p clamped at 1e-15 before the log."""
     p = np.asarray(probabilities, dtype=np.float64)
     y = np.asarray(label)
-    if np.any(y < 0) or np.any(y >= p.shape[-1]):
-        raise ValueError(f"label outside 0..{p.shape[-1] - 1}")
+    _check_labels(y, p.shape[-1])
     picked = np.take_along_axis(p, y.reshape(*y.shape, 1), axis=-1)[..., 0]
-    out = -np.log(np.maximum(picked, 1e-15))
+    out = np.negative(_log_probability(picked), out=picked)
     return float(out) if out.ndim == 0 else out
 
 
@@ -218,8 +234,9 @@ def _backprop(layers: list[Layer], X: np.ndarray, onehot: np.ndarray,
               codes: np.ndarray, picked: np.ndarray, grads: list[Layer],
               ws: _Workspace) -> None:
     """The one backpropagation kernel: forward and backward over the m rows
-    of ``X``, in the operation order of ``_layer_outputs``, ``softmax`` and
-    ``cross_entropy_loss``, so that every result is bit-equal to theirs.
+    of ``X``.  It runs the code of ``forward`` and ``softmax``
+    (``_forward`` and ``_softmax``) on the workspace, so its logits and
+    probabilities are theirs.
 
     ``onehot`` holds the labels one-hot and ``codes`` as flat indices
     row * n_classes + label; subtracting ``onehot`` is subtracting 1 at
@@ -227,27 +244,13 @@ def _backprop(layers: list[Layer], X: np.ndarray, onehot: np.ndarray,
     ``picked``, and the gradient of the mean loss to the C-contiguous
     arrays of ``grads``.
     """
-    h = X
-    last = len(layers) - 1
-    for i, layer in enumerate(layers):
-        z = np.dot(h, layer.weights.T, out=ws.acts[i])
-        if layer.bias is not None:
-            z += layer.bias
-        if i < last:
-            np.tanh(z, out=z)
-        h = z
-    if not np.isfinite(h).all():
-        raise ValueError("softmax requires finite logits")
-    delta, row = h, ws.row
-    np.maximum.reduce(delta, axis=1, keepdims=True, out=row)
-    delta -= row
-    np.exp(delta, out=delta)
-    np.add.reduce(delta, axis=1, keepdims=True, out=row)
-    delta /= row  # the softmax probabilities
+    logits = _forward(layers, X, ws.acts)
+    _check_logits(logits)
+    delta = _softmax(logits, ws.row)  # the probabilities
     delta.take(codes, out=picked, mode="clip")  # codes are in range; "clip" skips a copy
     delta -= onehot
     delta /= float(len(delta))
-    for i in range(last, -1, -1):
+    for i in range(len(layers) - 1, -1, -1):
         a_prev = ws.acts[i - 1] if i else X
         np.dot(delta.T, a_prev, out=grads[i].weights)
         if grads[i].bias is not None:
@@ -273,7 +276,7 @@ def loss_and_gradients(mlp: Mlp, X: np.ndarray, y: np.ndarray) -> tuple[float, l
     grads = _flatten(mlp.layers)[1]  # every entry is overwritten by the kernel
     _backprop(mlp.layers, X, np.eye(n_classes)[y], np.arange(n) * n_classes + y, picked,
               grads, _Workspace(mlp.layers, n))
-    return float(np.sum(-np.log(np.maximum(picked, 1e-15)))), grads
+    return float(np.sum(np.negative(_log_probability(picked), out=picked))), grads
 
 
 def backward(mlp: Mlp, features, label) -> list[Layer]:
@@ -284,9 +287,7 @@ def backward(mlp: Mlp, features, label) -> list[Layer]:
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     y = np.atleast_1d(as_integers(label, "labels"))
     _check_features(mlp, x)
-    n_classes = mlp.layers[-1].fan_out
-    if np.any(y < 0) or np.any(y >= n_classes):
-        raise ValueError(f"label outside 0..{n_classes - 1}")
+    _check_labels(y, mlp.layers[-1].fan_out)
     return loss_and_gradients(mlp, x, y)[1]
 
 
@@ -343,12 +344,10 @@ def train(config: TrainConfig, features, labels) -> TrainResult:
         raise ValueError("training set is empty")
     if config.batch_size > n:
         raise ValueError(f"batch_size {config.batch_size} exceeds dataset size {n}")
-    if y.min() < 0 or y.max() >= N_CLASSES:
-        raise ValueError(f"label outside 0..{N_CLASSES - 1}")
+    _check_labels(y, N_CLASSES)
     rng = np.random.default_rng(config.seed)
     init = init_mlp((X.shape[1], *PAPER_HIDDEN_DIMS, N_CLASSES), config.use_bias, rng)
     params, layers = _flatten(init.layers)
-    mlp = Mlp(layers)
     vel = np.zeros_like(params)
     grad, grads = _flatten(init.layers)  # every step overwrites every entry
     batch = config.batch_size
@@ -383,12 +382,11 @@ def train(config: TrainConfig, features, labels) -> TrainResult:
                 vel -= grad
                 params += vel
                 if not np.isfinite(params).all():
-                    try:
-                        mlp.check_finite()
-                    except TrainingDiverged as exc:
-                        raise TrainingDiverged(f"{exc} in epoch {epoch}") from None
-        np.maximum(picked, 1e-15, out=picked)
-        np.log(picked, out=picked)
+                    what, i = next((what, i) for i, l in enumerate(layers)
+                                   for what, a in (("weights", l.weights), ("bias", l.bias))
+                                   if a is not None and not np.isfinite(a).all())
+                    raise TrainingDiverged(f"non-finite {what} in layer {i} in epoch {epoch}")
+        _log_probability(picked)
         sums = np.add.reduce(picked[:full].reshape(-1, batch), axis=1).tolist()
         if full < n:
             sums.append(float(np.sum(picked[full:])))
@@ -396,7 +394,7 @@ def train(config: TrainConfig, features, labels) -> TrainResult:
         for s in sums:
             loss_sum += -s
         epoch_losses.append(loss_sum / n)
-    return TrainResult(mlp=mlp.copy(), epoch_losses=epoch_losses)
+    return TrainResult(mlp=Mlp(layers).copy(), epoch_losses=epoch_losses)
 
 
 def grad_check(mlp: Mlp, sample, step: float = 1e-5, gradients=None) -> float:

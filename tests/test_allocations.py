@@ -1,7 +1,7 @@
 """Peak memory of the data path and of training, traced with tracemalloc.
 
-Validation, symmetrization, the closure check, the identity feature map
-and training build no full-size temporary.  Each bound is the size of what the call
+Validation, symmetrization, the closure check, the identity feature map,
+training and softmax build no full-size temporary.  Each bound is the size of what the call
 must hold (its result, or one label block) plus a margin over the measured
 peak; the full-size copies these calls once made fail it by a wide margin.
 """
@@ -14,7 +14,7 @@ import pytest
 from symdigits.degeneracy import dataset_is_inversion_closed
 from symdigits.digits import Dataset, symmetrize
 from symdigits.features import Identity, NeighborProduct, PermutationProduct, Square
-from symdigits.network import N_CLASSES, TrainConfig, train
+from symdigits.network import N_CLASSES, TrainConfig, softmax, train
 
 from conftest import random_images
 
@@ -93,3 +93,11 @@ def test_training_holds_one_gather_block_and_a_few_vectors():
     # the label probabilities, ...); measured 541 kB against this 627 kB
     # bound; a full gather of the features alone is 3.45 MB
     assert peak <= block + 48 * n
+
+
+def test_softmax_allocates_its_result_and_one_column():
+    logits = np.random.default_rng(3).normal(size=(N_ROWS, N_CLASSES))
+    p, peak = traced_peak(lambda: softmax(logits))
+    # the result and the (n, 1) max/sum column, 1.1 x the result; measured
+    # 1.18 x; the allocating form (shifted, exp, quotient) peaked at 3.18 x
+    assert peak <= 1.25 * p.nbytes

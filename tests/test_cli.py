@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import symdigits
-from symdigits.cli import main
+from symdigits.cli import DEFAULTS, build_parser, main
 from symdigits.digits import bundled_data_path
 from symdigits.features import Identity
 from symdigits.network import init_mlp
@@ -236,6 +238,80 @@ def test_bad_seeds_exit_one_naming_their_flag(tmp_path, capsys, argv, message):
     assert run(*argv, "--out", str(out)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--batch", "0"], "--batch must be >= 1, got 0"),
+    (["train", "--lr", "-1"], "--lr must be finite and >= 0, got -1.0"),
+    (["train", "--epochs", "0"], "--epochs must be >= 1, got 0"),
+    (["train", "--momentum", "1"], "--momentum must be in [0, 1), got 1.0"),
+    (["eval", "--model", "model.json", "--test-fraction", "0"],
+     "--test-fraction must be in (0, 1), got 0.0"),
+    (["reproduce", "table2", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+    (["reproduce", "table1", "--seeds", ","],
+     "--seeds must be comma-separated non-negative integers, got ','"),
+    (["probe", "sampled-loss", "--mu", "1.5"], "--mu must be in (0, 1], got 1.5"),
+    (["probe", "sampled-loss", "--mu", "nan", "--trials", "1"], "--mu must be in (0, 1], got nan"),
+    (["probe", "orbit", "--n", "0"], "--n must be >= 1, got 0"),
+    (["probe", "goldstone", "--n", "-2"], "--n must be >= 1, got -2"),
+    (["train", "--config", "CONFIG"], "--batch must be >= 1, got 0"),
+], ids=["batch", "lr", "epochs", "momentum", "test-fraction", "jobs", "seeds-empty", "mu",
+        "mu-before-trials", "orbit-n", "goldstone-n", "config-batch"])
+def test_out_of_range_values_exit_one_naming_their_flag(tmp_path, capsys, argv, message):
+    config = tmp_path / "run.cfg"
+    config.write_text("batch = 0\n")
+    out = tmp_path / "out"
+    argv = [str(config) if a == "CONFIG" else a for a in argv]
+    assert run(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def _parser_rows():
+    """command -> (keys, other flags, reads --data) for every command that
+    build_parser defines."""
+    def leaves(parser, command):
+        subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for action in subparsers:
+            for name, child in action.choices.items():
+                yield from leaves(child, f"{command} {name}".strip())
+        if not subparsers:
+            yield command, parser
+
+    rows = {}
+    for command, parser in leaves(build_parser(), ""):
+        optional = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+        keys = {a.dest for a in optional if a.dest in DEFAULTS} - {"data", "out"}
+        flags = {a.option_strings[0] for a in optional
+                 if a.dest not in DEFAULTS and a.dest != "config"}
+        row = (keys, flags, any(a.dest == "data" for a in optional))
+        whats = [a.choices for a in parser._actions if not a.option_strings and a.choices]
+        for what in whats[0] if whats else [None]:
+            rows[f"{command} {what}" if what else command] = row
+    return rows
+
+
+def _readme_rows():
+    """command -> (keys, other flags, reads --data) from README's table of
+    each command's own flags and keys."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("| command | its own flags and keys |\n|---|---|\n", 1)[1]
+    rows = {}
+    for line in table.splitlines():
+        if not line.startswith("|"):
+            break
+        commands, cell = (part.strip() for part in line.strip("|").split(" | "))
+        first, _, whats = commands.strip("`").partition(" ")
+        ticked = re.findall(r"`([^`]*)`", cell)
+        keys = set() if cell == "none" else set(ticked[0].split())
+        row = (keys, set(re.findall(r"the flag `(--[a-z-]+)`", cell)), "no `--data`" not in cell)
+        for what in whats.split("\\|") if whats else [None]:
+            rows[f"{first} {what}" if what else first] = row
+    return rows
+
+
+def test_readme_flag_table_matches_the_parsers():
+    assert _readme_rows() == _parser_rows()
 
 
 @pytest.mark.parametrize("command, extra, keys", [

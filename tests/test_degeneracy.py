@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -145,7 +147,7 @@ def test_sampled_loss_equals_per_trial_reference(n, group, mu, trials):
     ds = image_dataset(n=n, seed=n)
     mlp = init_mlp((64, 10, 5, 10), False, n)
     report = sampled_loss_expectation(mlp, ds, group, mu=mu, trials=trials, seed=11)
-    assert report.to_dict() == reference_sampled_loss(mlp, ds, group, mu, trials, seed=11).to_dict()
+    assert asdict(report) == asdict(reference_sampled_loss(mlp, ds, group, mu, trials, seed=11))
     if mu == 1.0:
         assert report.trial_min == report.omega == report.trial_max
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from symdigits.network import (GATHER_BATCHES, PAPER_HIDDEN_DIMS, Layer, Mlp, TrainConfig,
-                               TrainingDiverged, TrainResult, _flatten, _layer_outputs,
-                               as_integers, backward, cross_entropy_loss, forward, grad_check,
+                               TrainingDiverged, TrainResult, _flatten, as_integers, backward, cross_entropy_loss, forward, grad_check,
                                init_mlp, loss_and_gradients, predict, softmax, total_loss,
                                train)
 
@@ -411,6 +410,29 @@ def test_mlp_rejects_mismatched_dims():
 # ---------------------------------------------------------------------------
 
 
+def _layer_outputs(layers, h):
+    """[input, hidden..., logits] of the layer recurrence: the allocating
+    forward pass that ``network._forward`` replaced, kept verbatim as the
+    reference for its bits."""
+    outputs = [h]
+    last = len(layers) - 1
+    for i, layer in enumerate(layers):
+        z = np.dot(h, layer.weights.T)
+        if layer.bias is not None:
+            z = z + layer.bias
+        h = z if i == last else np.tanh(z)
+        outputs.append(h)
+    return outputs
+
+
+def reference_softmax(logits):
+    """The allocating softmax that ``network._softmax`` replaced."""
+    z = np.asarray(logits, dtype=np.float64)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def reference_loss_and_gradients(mlp, X, y, grads=None):
     """The per-call backprop loop that the buffered kernel replaced, kept
     verbatim as the reference for its bits."""
@@ -506,6 +528,49 @@ def test_backprop_kernel_is_bit_equal_to_the_loop_it_replaced(case):
     want_loss, want_grads = reference_loss_and_gradients(mlp, X, y)
     assert same_bits(np.float64(loss), np.float64(want_loss))
     assert_same_layers(grads, want_grads)
+
+
+@st.composite
+def nets_and_inputs(draw):
+    """A random network (any depth and bias mode) and a feature vector or a
+    batch of them."""
+    mlp, X, _ = draw(nets_and_batches())
+    return mlp, X[0] if draw(st.booleans()) else X
+
+
+@settings(max_examples=300, deadline=None)
+@given(nets_and_inputs())
+def test_forward_is_bit_equal_to_the_allocating_recurrence(case):
+    mlp, x = case
+    assert same_bits(forward(mlp, x), _layer_outputs(mlp.layers, x)[-1])
+
+
+logit_arrays = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=12),
+                          elements=st.floats(-800.0, 800.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(logit_arrays)
+def test_softmax_is_bit_equal_to_the_allocating_form(logits):
+    before = logits.copy()
+    assert same_bits(softmax(logits), reference_softmax(logits))
+    assert same_bits(logits, before)  # the caller's array is left alone
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cross_entropy_loss_is_the_clamped_log_it_replaced(data):
+    # probabilities down to 0 and subnormals, below and above the 1e-15 clamp
+    p = data.draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=12),
+                             elements=st.floats(0.0, 1.0)))
+    y = data.draw(hnp.arrays(np.int64, p.shape[:-1], elements=st.integers(0, p.shape[-1] - 1)))
+    picked = np.take_along_axis(p, y.reshape(*y.shape, 1), axis=-1)[..., 0]
+    want = -np.log(np.maximum(picked, 1e-15))
+    got = cross_entropy_loss(p, y)
+    if y.ndim == 0:
+        assert type(got) is float and same_bits(np.float64(got), want)
+    else:
+        assert same_bits(got, want)
 
 
 @pytest.mark.parametrize("n, batch", [(37, 1), (20, 20), (44, 8), (75, 2), (100, 3)], ids=[
