@@ -9,12 +9,12 @@ is therefore capped at 1 - R, no matter how the model was trained.
 
 import numpy as np
 
-from symdigits import (Identity, TrainConfig, augment_shifts,
-                       bound_check, forward, init_mlp, load_bundled_dataset,
-                       softmax, split, train)
+from symdigits import (Identity, TrainConfig, bound_check, forward, init_mlp,
+                       load_bundled_dataset, softmax, train)
+from symdigits.digits import shifted_split
 
 ds = load_bundled_dataset()
-train_ds, test_ds = split(augment_shifts(ds), test_fraction=0.25, seed=0)
+train_ds, test_ds = shifted_split(ds, test_fraction=0.25, seed=0)
 print(f"train {len(train_ds)} / test {len(test_ds)} images "
       f"(augmented x5, split by source image)")
 

@@ -14,13 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from symdigits import (Identity, TrainConfig, augment_shifts, init_mlp,
-                       inversion_group, load_bundled_dataset,
-                       sampled_loss_expectation, split, symmetrize, train)
+from symdigits import (Identity, TrainConfig, init_mlp, inversion_group,
+                       load_bundled_dataset, sampled_loss_expectation, symmetrize,
+                       train)
 from symdigits.degeneracy import (generator_curvature_sweep, make_toy_task,
                                   orbit_loss_scan, train_toy,
                                   weight_flip_deviation, weight_orbit_invariance)
-from symdigits.digits import Dataset
+from symdigits.digits import Dataset, shifted_split
 from symdigits.svg import line_chart
 
 out = Path("demo_output/degeneracy")
@@ -28,7 +28,7 @@ out.mkdir(parents=True, exist_ok=True)
 
 # --- 1. the weight-flip identity on images --------------------------------
 ds = load_bundled_dataset()
-train_ds, _ = split(augment_shifts(ds), seed=0)
+train_ds, _ = shifted_split(ds, seed=0)
 symmetrized = symmetrize(train_ds)
 
 result = train(TrainConfig(seed=0, epochs=40), Identity().apply(train_ds.pixels),

@@ -34,7 +34,7 @@ from .degeneracy import (generator_curvature_sweep, make_toy_task,
                          weight_orbit_invariance, weight_flip_deviation)
 from .digits import (Dataset, augment_shifts, bundled_data_path, class_counts,
                      dataset_stats, invert_dataset, load_dataset, pixels_to_gray_levels,
-                     render_image, split, symmetrize)
+                     render_image, shifted_split, symmetrize)
 from .experiments import CELLS, bound_check, evaluate, format_verdicts, reproduce_tables
 from .features import (FEATURE_NAMES, N_PIXELS, Identity, NeighborProduct,
                        feature_map_from_name, inversion_group)
@@ -145,7 +145,10 @@ def _seed_list(text) -> list[int]:
     seeds = [s.strip() for s in str(text).split(",") if s.strip() != ""]
     if not seeds or not all(s.isdecimal() for s in seeds):
         raise CliError(f"--seeds must be comma-separated non-negative integers, got {text!r}")
-    return [int(s) for s in seeds]
+    seeds = [int(s) for s in seeds]
+    if len(set(seeds)) != len(seeds):
+        raise CliError(f"--seeds must not repeat a seed, got {text!r}")
+    return seeds
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -168,9 +171,8 @@ def _data_path(resolved) -> str:
 
 
 def _load_splits(resolved) -> tuple[Dataset, Dataset]:
-    ds = load_dataset(_data_path(resolved))
-    augmented = augment_shifts(ds)
-    return split(augmented, test_fraction=resolved["test_fraction"], seed=resolved["seed"])
+    return shifted_split(load_dataset(_data_path(resolved)),
+                         test_fraction=resolved["test_fraction"], seed=resolved["seed"])
 
 
 def _train_config(resolved, **fixed) -> TrainConfig:
@@ -279,9 +281,8 @@ def cmd_reproduce(args, resolved, out):
 
     seeds = _seed_list(resolved["seeds"])
     ds = load_dataset(_data_path(resolved))
-    augmented = augment_shifts(ds)
     config = _train_config(resolved)  # reproduce_tables sets each row's seed and bias
-    report = reproduce_tables(augmented, seeds, config=config, tables=(args.what,),
+    report = reproduce_tables(ds, seeds, config=config, tables=(args.what,),
                               test_fraction=resolved["test_fraction"],
                               jobs=resolved["jobs"])
     report.write_csv(out / "results.csv")
@@ -299,8 +300,8 @@ def cmd_reproduce(args, resolved, out):
     bound_failures = []
     if args.what == "table1":
         for seed in seeds:
-            train_ds, test_ds = split(augmented, test_fraction=resolved["test_fraction"],
-                                      seed=seed)
+            train_ds, test_ds = shifted_split(ds, test_fraction=resolved["test_fraction"],
+                                              seed=seed)
             result = train(replace(config, seed=seed), Identity().apply(train_ds.pixels),
                            train_ds.labels)
             verdict = bound_check(result.mlp, Identity(), test_ds)
@@ -528,23 +529,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _outermost_missing(path: Path) -> Path | None:
+    """The outermost directory that ``path.mkdir(parents=True)`` would create."""
+    missing = None
+    for directory in (path, *path.parents):
+        if directory.exists():
+            break
+        missing = directory
+    return missing
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    created = None
     try:
         args = parser.parse_args(argv)
         resolved = _resolve(args)
         out = Path(resolved["out"])
+        created = _outermost_missing(out)
         out.mkdir(parents=True, exist_ok=True)
         failure = args.func(args, resolved, out)
         command = f"{args.command} {args.what}" if hasattr(args, "what") else args.command
         _write_manifest(out, command, resolved)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except TrainingDiverged as exc:
         failure = str(exc)
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        # a usage error records no run: remove what this call created
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
         return 1
     if failure is None:
         return 0

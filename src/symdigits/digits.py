@@ -221,6 +221,26 @@ def split(ds: Dataset, test_fraction: float = 0.25, seed: int = 0) -> tuple[Data
     return train, test
 
 
+def shifted_split(ds: Dataset, test_fraction: float = 0.25,
+                  seed: int = 0) -> tuple[Dataset, Dataset]:
+    """``split(augment_shifts(ds), test_fraction, seed)``, without the whole
+    augmented corpus: the origin groups are split first, then each side is
+    shifted.
+
+    Shifting keeps origin_ids and puts an image's five copies where the image
+    was, so both forms give the same origin groups, the same rows in the same
+    order, and (renamed below) the same names and lineage.  The peak is the
+    two results plus the unshifted sides, not twice the results.
+    """
+    sides = []
+    for side, suffix in zip(split(ds, test_fraction, seed), (".train", ".test")):
+        shifted = augment_shifts(side)
+        shifted.name = ds.name + "+shifts" + suffix
+        shifted.lineage[-2:] = reversed(shifted.lineage[-2:])  # shifted, then split
+        sides.append(shifted)
+    return sides[0], sides[1]
+
+
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------

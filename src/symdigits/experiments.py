@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .digits import Dataset, invert_dataset, split, symmetrize
+from .digits import Dataset, invert_dataset, shifted_split, symmetrize
 from .features import FeatureMapKind, Identity, feature_map_from_name
 from .network import N_CLASSES, Mlp, TrainConfig, predict, forward, train
 
@@ -243,14 +243,38 @@ class TablesReport:
         }
 
 
-def reproduce_tables(augmented: Dataset, seeds, config: TrainConfig | None = None,
+def _seed_reports(run, corpus: Dataset, seed: int, config: TrainConfig, tables,
+                  test_fraction: float) -> dict:
+    """(table, seed, row index) -> EvalReport for one seed's rows, each row
+    run by ``run`` (``map`` or a pool's ``map``).  The seed's sets live only
+    in this call."""
+    train_ds, test_ds = shifted_split(corpus, test_fraction=test_fraction, seed=seed)
+    train_ds = Dataset(train_ds.pixels, train_ds.labels, train_ds.origin_ids, name="X_train")
+    test_ds = Dataset(test_ds.pixels, test_ds.labels, test_ds.origin_ids, name="X_test")
+    keys, row_args = [], []
+    for table in tables:
+        for idx, (bias, features, variant) in enumerate(TABLE_ROWS[table]):
+            keys.append((table, seed, idx))
+            row_args.append((replace(config, seed=seed, use_bias=bias),
+                             feature_map_from_name(features, seed), variant, train_ds, test_ds))
+    # the symmetrized rows train on twice the rows: start them first, so that
+    # a pool's workers finish the seed together; the keys keep the row order
+    order = sorted(range(len(keys)), key=lambda i: row_args[i][2] != "pmX_train")
+    results = run(run_row, *zip(*(row_args[i] for i in order)))
+    return dict(sorted(zip((keys[i] for i in order), results)))
+
+
+def reproduce_tables(corpus: Dataset, seeds, config: TrainConfig | None = None,
                      tables=("table1", "table2"), test_fraction: float = 0.25,
                      jobs: int = 1) -> TablesReport:
     """Train and evaluate every row of the given tables for each seed.
 
-    The seed controls the origin-group split, the parameter init, the
-    epoch shuffles, and (for PermutationProduct) the permutation.  Cells
-    are graded against their acceptance bands on the across-seed mean.
+    ``corpus`` is the unaugmented set: each seed's X_train and X_test are
+    its shifted origin-group split (``shifted_split``), built when that
+    seed's rows run and dropped before the next seed's are built.  The seed
+    controls the split, the parameter init, the epoch shuffles, and (for
+    PermutationProduct) the permutation.  Cells are graded against their
+    acceptance bands on the across-seed mean.
     """
     seeds = list(seeds)
     if not seeds:
@@ -263,27 +287,22 @@ def reproduce_tables(augmented: Dataset, seeds, config: TrainConfig | None = Non
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     config = config or TrainConfig()
-    keys, row_args = [], []
-    for seed in seeds:
-        train_ds, test_ds = split(augmented, test_fraction=test_fraction, seed=seed)
-        train_ds = Dataset(train_ds.pixels, train_ds.labels, train_ds.origin_ids, name="X_train")
-        test_ds = Dataset(test_ds.pixels, test_ds.labels, test_ds.origin_ids, name="X_test")
-        for table in (t for t in TABLE_ROWS if t in tables):
-            for idx, (bias, features, variant) in enumerate(TABLE_ROWS[table]):
-                keys.append((table, seed, idx))
-                row_args.append((replace(config, seed=seed, use_bias=bias),
-                             feature_map_from_name(features, seed), variant, train_ds, test_ds))
+    tables = [t for t in TABLE_ROWS if t in tables]
+
+    def run_seeds(run) -> dict:
+        return {key: report for seed in seeds
+                for key, report in _seed_reports(run, corpus, seed, config, tables,
+                                                 test_fraction).items()}
 
     # never more worker processes than CPUs or rows: a pool forks all of
     # its workers at the first submit
-    workers = min(jobs, os.cpu_count() or 1, len(row_args))
+    n_rows = len(seeds) * sum(len(TABLE_ROWS[t]) for t in tables)
+    workers = min(jobs, os.cpu_count() or 1, n_rows)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_row, *zip(*row_args)))
-    else:
-        results = list(map(run_row, *zip(*row_args)))
-    return TablesReport(seeds, dict(zip(keys, results)))
+            return TablesReport(seeds, run_seeds(pool.map))
+    return TablesReport(seeds, run_seeds(map))
 
 
 # ---------------------------------------------------------------------------

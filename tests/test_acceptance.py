@@ -34,16 +34,16 @@ def _report(number, name, ok, details=""):
 
 
 @pytest.fixture(scope="module")
-def table1(augmented):
+def table1(corpus):
     start = time.monotonic()
-    report = reproduce_tables(augmented, SEEDS, config=TrainConfig(), tables=("table1",))
+    report = reproduce_tables(corpus, SEEDS, config=TrainConfig(), tables=("table1",))
     return report, time.monotonic() - start
 
 
 @pytest.fixture(scope="module")
-def table2(augmented):
+def table2(corpus):
     start = time.monotonic()
-    report = reproduce_tables(augmented, SEEDS, config=TrainConfig(), tables=("table2",))
+    report = reproduce_tables(corpus, SEEDS, config=TrainConfig(), tables=("table2",))
     return report, time.monotonic() - start
 
 

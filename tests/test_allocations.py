@@ -1,9 +1,11 @@
 """Peak memory of the data path and of training, traced with tracemalloc.
 
 Validation, symmetrization, the closure check, the identity feature map,
-training and softmax build no full-size temporary.  Each bound is the size of what the call
-must hold (its result, or one label block) plus a margin over the measured
-peak; the full-size copies these calls once made fail it by a wide margin.
+training and softmax build no full-size temporary; the shifted split builds
+no whole augmented corpus, and the table runs hold one seed's sets at a
+time.  Each bound is the size of what the call must hold (its result, or
+one label block) plus a margin over the measured peak; the full-size copies
+these calls once made fail it by a wide margin.
 """
 
 import tracemalloc
@@ -12,7 +14,8 @@ import numpy as np
 import pytest
 
 from symdigits.degeneracy import dataset_is_inversion_closed
-from symdigits.digits import Dataset, symmetrize
+from symdigits.digits import Dataset, shifted_split, split, symmetrize
+from symdigits.experiments import reproduce_tables
 from symdigits.features import Identity, NeighborProduct, PermutationProduct, Square
 from symdigits.network import N_CLASSES, TrainConfig, softmax, train
 
@@ -32,6 +35,10 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def held_bytes(*datasets):
+    return sum(ds.pixels.nbytes + ds.labels.nbytes + ds.origin_ids.nbytes for ds in datasets)
+
+
 @pytest.fixture(scope="module")
 def dataset():
     labels = np.random.default_rng(1).integers(0, 10, N_ROWS)
@@ -47,8 +54,7 @@ def test_dataset_keeps_a_float64_array_without_copying(dataset):
 
 def test_symmetrize_peaks_at_its_result(dataset):
     sym, peak = traced_peak(lambda: symmetrize(dataset))
-    held = sym.pixels.nbytes + sym.labels.nbytes + sym.origin_ids.nbytes
-    assert peak <= 1.05 * held  # measured: 1.000 x held; concatenating -x was 2.4 x
+    assert peak <= 1.05 * held_bytes(sym)  # measured: 1.000 x held; concatenating -x was 2.4 x
 
 
 def test_closure_check_peaks_at_about_one_label_block(dataset):
@@ -101,3 +107,27 @@ def test_softmax_allocates_its_result_and_one_column():
     # the result and the (n, 1) max/sum column, 1.1 x the result; measured
     # 1.18 x; the allocating form (shifted, exp, quotient) peaked at 3.18 x
     assert peak <= 1.25 * p.nbytes
+
+
+def test_shifted_split_holds_its_results_and_the_unshifted_sides(corpus):
+    sides, peak = traced_peak(lambda: shifted_split(corpus, test_fraction=0.25, seed=0))
+    unshifted = held_bytes(*split(corpus, test_fraction=0.25, seed=0))
+    # measured: 1.001 x (results + unshifted sides), where the unshifted
+    # sides are a fifth of the results; split(augment_shifts(corpus)) holds
+    # the whole augmented corpus and both sides gathered from it, 1.80 x
+    assert peak <= 1.05 * (held_bytes(*sides) + unshifted)
+
+
+def test_table_runs_hold_one_seeds_sets_at_a_time(corpus):
+    head = Dataset(corpus.pixels[:400], corpus.labels[:400], corpus.origin_ids[:400],
+                   name="head")
+
+    def run(seeds):
+        return reproduce_tables(head, seeds, config=TrainConfig(epochs=1), tables=("table1",))
+
+    _, one_seed = traced_peak(lambda: run([0]))
+    _, two_seeds = traced_peak(lambda: run([0, 1]))
+    sets = held_bytes(*shifted_split(head, test_fraction=0.25, seed=0))
+    # a second seed adds its reports, not its sets: measured +0.01 x one
+    # seed's sets; building every seed's sets before the first row added 1.01 x
+    assert two_seeds <= one_seed + 0.25 * sets

@@ -221,6 +221,7 @@ def test_sampled_loss_trials_without_a_standard_error_exit_one(tmp_path, capsys,
      "--seeds must be comma-separated non-negative integers, got '0,x'"),
     (["reproduce", "table2", "--seeds", "1,-2"],
      "--seeds must be comma-separated non-negative integers, got '1,-2'"),
+    (["reproduce", "table1", "--seeds", "0,0"], "--seeds must not repeat a seed, got '0,0'"),
     (["train", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
     (["train", "--features", "perm", "--perm-seed", "-1"],
      "--perm-seed must be a non-negative integer, got -1"),
@@ -228,8 +229,8 @@ def test_sampled_loss_trials_without_a_standard_error_exit_one(tmp_path, capsys,
      "--seed must be a non-negative integer, got -3"),
     (["probe", "orbit", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
     (["train", "--config", "CONFIG"], "--seed must be a non-negative integer, got -4"),
-], ids=["seeds-letter", "seeds-negative", "train-seed", "perm-seed", "eval-seed", "probe-seed",
-        "config-seed"])
+], ids=["seeds-letter", "seeds-negative", "seeds-repeated", "train-seed", "perm-seed",
+        "eval-seed", "probe-seed", "config-seed"])
 def test_bad_seeds_exit_one_naming_their_flag(tmp_path, capsys, argv, message):
     config = tmp_path / "run.cfg"
     config.write_text("seed = -4\n")
@@ -433,6 +434,31 @@ def test_usage_errors_exit_one(tmp_path):
     assert run("eval", "--out", str(out)) == 1    # missing --model
     assert not (out / "manifest.json").exists()   # a usage error records no run
     assert run("train", "--features", "cubic") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval"], "eval requires --model"),
+    (["probe", "sampled-loss", "--samples", "0"], "--samples must be in 1..1797, got 0"),
+    (["probe", "sampled-loss", "--samples", "1798"], "--samples must be in 1..1797, got 1798"),
+    (["probe", "weight-flip", "--model", "BIAS_MODEL"],
+     "weight-flip probe needs a bias-free identity-feature model"),
+], ids=["eval-without-model", "samples-zero", "samples-above-corpus", "weight-flip-bias-model"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+def test_usage_errors_in_a_command_leave_no_directory_behind(tmp_path, capsys, argv, message,
+                                                             existing):
+    model = tmp_path / "bias-model.json"
+    save_model(model, init_mlp((64, 10, 5, 10), True, 0), Identity())
+    out = tmp_path / "runs" / "out"  # main makes both levels
+    if existing:
+        out.mkdir(parents=True)
+        (out / "kept.txt").write_text("kept")
+    argv = [str(model) if a == "BIAS_MODEL" else a for a in argv]
+    assert run(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    if existing:  # left as it was
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]
+    else:
+        assert not (tmp_path / "runs").exists()
 
 
 def run_process(*argv):

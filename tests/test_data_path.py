@@ -3,6 +3,7 @@ augmentation, split, symmetrization, the closure check and the feature
 maps, pinned against straightforward references."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ import symdigits
 from symdigits.degeneracy import dataset_is_inversion_closed
 from symdigits.digits import (AUGMENT_SHIFTS, Dataset, _distinct_sorted, _parse_canonical,
                               augment_shifts, bundled_data_path, load_optdigits,
-                              pixels_to_gray_levels, split, symmetrize)
+                              pixels_to_gray_levels, shifted_split, split, symmetrize)
 from symdigits.features import Identity, NeighborProduct, PermutationProduct, inversion
 
 from conftest import random_images
@@ -214,6 +215,42 @@ def test_split_of_a_single_origin_leaves_one_side_empty():
     ds = Dataset(random_images(5), np.zeros(5), ORIGIN_IDS["single-id"])
     with pytest.raises(ValueError, match="one side empty"):
         split(ds, test_fraction=0.5, seed=0)
+
+
+def assert_same_datasets(got, expected):
+    """Equal bits, dtypes, row order, names and lineage, side by side."""
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.pixels.tobytes() == b.pixels.tobytes() and a.pixels.shape == b.pixels.shape
+        for name in ("labels", "origin_ids"):
+            assert getattr(a, name).dtype == getattr(b, name).dtype
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert (a.name, a.lineage) == (b.name, b.lineage)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), n=st.integers(1, 30), fraction=st.floats(0.01, 0.99),
+       seed=st.integers(0, 2**32 - 1))
+def test_shifted_split_is_the_split_of_the_augmented_set(data, n, fraction, seed):
+    # unsorted, repeated origin ids; signed zeros among the pixels
+    origin_ids = data.draw(arrays(np.int64, n, elements=st.integers(0, n)))
+    pixels = data.draw(arrays(np.float64, (n, 64), elements=PIXEL_VALUES))
+    labels = data.draw(arrays(np.int64, n, elements=st.integers(0, 9)))
+    ds = Dataset(pixels, labels, origin_ids, name="drawn", lineage=["drawn"])
+    try:
+        expected = split(augment_shifts(ds), test_fraction=fraction, seed=seed)
+    except ValueError as exc:  # one side empty: the same error
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            shifted_split(ds, test_fraction=fraction, seed=seed)
+        return
+    assert_same_datasets(shifted_split(ds, test_fraction=fraction, seed=seed), expected)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_shifted_split_of_the_corpus(corpus, augmented, seed):
+    got = shifted_split(corpus, test_fraction=0.25, seed=seed)
+    assert_same_datasets(got, split(augmented, test_fraction=0.25, seed=seed))
+    assert [ds.name for ds in got] == ["optdigits+shifts.train", "optdigits+shifts.test"]
 
 
 def test_data_path_does_not_import_numpy_ma():

@@ -135,8 +135,7 @@ def head_tables(corpus):
     missed the seed would train with the default seed 0 and show."""
     head = Dataset(corpus.pixels[:300], corpus.labels[:300],
                    corpus.origin_ids[:300], name="head")
-    augmented = augment_shifts(head)
-    return augmented, reproduce_tables(augmented, seeds=[1], config=TrainConfig(epochs=2))
+    return augment_shifts(head), reproduce_tables(head, seeds=[1], config=TrainConfig(epochs=2))
 
 
 def test_reproduce_tables_single_seed_emits_14_rows(head_tables):
@@ -214,15 +213,15 @@ def test_reproduce_tables_caps_worker_processes(monkeypatch, corpus, cpus, jobs,
     head = Dataset(corpus.pixels[:100], corpus.labels[:100],
                    corpus.origin_ids[:100], name="head")
     kwargs = dict(seeds=[0], config=TrainConfig(epochs=1), tables=("table1",))
-    report = reproduce_tables(augment_shifts(head), jobs=jobs, **kwargs)
+    report = reproduce_tables(head, jobs=jobs, **kwargs)
     assert started == ([] if workers is None else [workers])
-    assert report.cells == reproduce_tables(augment_shifts(head), **kwargs).cells
+    assert report.cells == reproduce_tables(head, **kwargs).cells
 
 
 def test_reproduce_tables_csv_output(tmp_path, corpus):
     head = Dataset(corpus.pixels[:200], corpus.labels[:200],
                    corpus.origin_ids[:200], name="head")
-    report = reproduce_tables(augment_shifts(head), seeds=[0, 1],
+    report = reproduce_tables(head, seeds=[0, 1],
                               config=TrainConfig(epochs=1), tables=("table1",))
     path = tmp_path / "results.csv"
     report.write_csv(path)
