@@ -10,8 +10,8 @@ creates the output directory, runs the command, and writes a manifest
 echoing the fully resolved configuration (timestamps live only there, so
 reruns are byte-identical elsewhere), also when a check failed.  A command
 returns None when its checks pass, or the failure message when one fails.
-It takes only the flags and config keys it reads: the keys of ``DEFAULTS``
-that its parser defines.
+It takes only the flags and config keys it reads: ``out`` and the keys
+that ``COMMANDS`` gives it, each a flag of ``FLAGS``.
 """
 
 from __future__ import annotations
@@ -48,44 +48,59 @@ class CliError(Exception):
     """Usage or configuration problem (exit status 1)."""
 
 
-DEFAULTS = {
-    "data": None,          # None -> bundled CSV
-    "out": "out",
-    "seed": 0,
-    "seeds": "0,1,2,3,4",
-    "bias": False,
-    "features": "identity",
-    "perm_seed": 0,
-    "epochs": 200,
-    "lr": 0.05,
-    "batch": 32,
-    "momentum": 0.9,
-    "invert": False,
-    "jobs": 1,
-    "n": 360,
-    "mu": 0.5,
-    "trials": 10000,
-    "samples": 200,
-    "test_fraction": 0.25,
-}
+def _must(is_legal, legal):
+    """A legal test: None for a legal value, else what the value must be."""
+    return lambda value, resolved: None if is_legal(value) else f"must be {legal}"
 
-# the library checks these ranges too; checked here first, so that the
-# message names the flag: key -> (is_legal(value, resolved), legal values)
-_RANGES = {
-    "seed": (lambda v, r: v >= 0, "a non-negative integer"),
-    "perm_seed": (lambda v, r: v >= 0, "a non-negative integer"),
-    "epochs": (lambda v, r: v >= 1, ">= 1"),
-    "lr": (lambda v, r: math.isfinite(v) and v >= 0, "finite and >= 0"),
-    "batch": (lambda v, r: v >= 1, ">= 1"),
-    "momentum": (lambda v, r: 0 <= v < 1, "in [0, 1)"),
-    "jobs": (lambda v, r: v >= 1, ">= 1"),
-    "n": (lambda v, r: v >= 1, ">= 1"),
-    "mu": (lambda v, r: 0 < v <= 1, "in (0, 1]"),
+
+def _seeds_fault(text, resolved):
+    seeds = [s.strip() for s in text.split(",")]
+    if not all(s.isdecimal() for s in seeds):  # an empty item included
+        return "must be comma-separated non-negative integers"
+    if len(set(map(int, seeds))) != len(seeds):
+        return "must not repeat a seed"
+    return None
+
+
+def _trials_fault(trials, resolved):
     # one trial at mu < 1 has no standard error to test against
-    "trials": (lambda v, r: v >= (1 if r["mu"] == 1 else 2),
-               lambda r: f">= {1 if r['mu'] == 1 else 2} at --mu {r['mu']}"),
-    "test_fraction": (lambda v, r: 0 < v < 1, "in (0, 1)"),
+    least = 1 if resolved["mu"] == 1 else 2
+    return None if trials >= least else f"must be >= {least} at --mu {resolved['mu']}"
+
+
+_NON_NEGATIVE = _must(lambda v: v >= 0, "a non-negative integer")
+_POSITIVE = _must(lambda v: v >= 1, ">= 1")
+_FEATURES = ", ".join(FEATURE_NAMES)
+
+# key -> (default, help, legal test or None).  The key's flag is --key with
+# "-" for "_"; the default's type types the flag and the config-file value.
+# The library checks these values too; _resolve checks them first, from a
+# flag or a config file alike, so that the message names the flag.
+FLAGS = {
+    "data": (None, "optdigits CSV (default: the bundled corpus)", None),
+    "out": ("out", "output directory", None),
+    "seed": (0, "seed of the split, the initial weights and the shuffles", _NON_NEGATIVE),
+    "seeds": ("0,1,2,3,4", "comma-separated seeds, one per table run", _seeds_fault),
+    "bias": (False, "fit biases; --no-bias fits none", None),
+    "features": ("identity", f"feature map: {_FEATURES}",
+                 _must(lambda v: v in FEATURE_NAMES, f"one of {_FEATURES}")),
+    "perm_seed": (0, "seed of the perm map's pixel permutation", _NON_NEGATIVE),
+    "epochs": (200, "passes over the training set", _POSITIVE),
+    "lr": (0.05, "SGD learning rate",
+           _must(lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")),
+    "batch": (32, "mini-batch size", _POSITIVE),
+    "momentum": (0.9, "SGD momentum", _must(lambda v: 0 <= v < 1, "in [0, 1)")),
+    "invert": (False, "invert the test set before prediction", None),
+    "jobs": (1, "parallel table cells, at most the CPU count", _POSITIVE),
+    "n": (360, "cyclic group order (goldstone: the last of its sweep)", _POSITIVE),
+    "mu": (0.5, "inclusion probability", _must(lambda v: 0 < v <= 1, "in (0, 1]")),
+    "trials": (10000, "Monte Carlo trials", _trials_fault),  # after mu, which it reads
+    "samples": (200, "dataset subset size, at most the corpus size", None),
+    "test_fraction": (0.25, "held-out origin fraction", _must(lambda v: 0 < v < 1, "in (0, 1)")),
 }
+DEFAULTS = {key: default for key, (default, _, _) in FLAGS.items()}
+# the bool keys that also have a --no- flag, to override a config file
+_NEGATABLE = ("bias",)
 # the probes' fresh networks
 PAPER_DIMS = (N_PIXELS, *PAPER_HIDDEN_DIMS, N_CLASSES)
 
@@ -118,37 +133,19 @@ def _parse_config_file(path, keys) -> dict:
 
 
 def _resolve(args) -> dict:
-    """The command's keys (those its parser defines), merged by precedence:
-    command-line flags > config file > defaults."""
-    keys = [key for key in DEFAULTS if hasattr(args, key)]
+    """The command's keys (those its parser defines), merged by precedence
+    (command-line flags > config file > defaults) and checked in FLAGS order."""
+    keys = [key for key in FLAGS if hasattr(args, key)]
     file_values = _parse_config_file(args.config, keys) if args.config else {}
     resolved = {}
     for key in keys:
         flag = getattr(args, key)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in file_values:
-            resolved[key] = file_values[key]
-        else:
-            resolved[key] = DEFAULTS[key]
-    for key, (is_legal, legal) in _RANGES.items():
-        if key in resolved and not is_legal(resolved[key], resolved):
-            legal = legal(resolved) if callable(legal) else legal
-            raise CliError(f"--{key.replace('_', '-')} must be {legal}, got {resolved[key]}")
-    if "seeds" in resolved:
-        _seed_list(resolved["seeds"])
+        value = resolved[key] = flag if flag is not None else file_values.get(key, DEFAULTS[key])
+        legal = FLAGS[key][2]
+        fault = legal(value, resolved) if legal else None
+        if fault:
+            raise CliError(f"--{key.replace('_', '-')} {fault}, got {value!r}")
     return resolved
-
-
-def _seed_list(text) -> list[int]:
-    """The seeds of a ``--seeds`` value: comma-separated non-negative integers."""
-    seeds = [s.strip() for s in str(text).split(",") if s.strip() != ""]
-    if not seeds or not all(s.isdecimal() for s in seeds):
-        raise CliError(f"--seeds must be comma-separated non-negative integers, got {text!r}")
-    seeds = [int(s) for s in seeds]
-    if len(set(seeds)) != len(seeds):
-        raise CliError(f"--seeds must not repeat a seed, got {text!r}")
-    return seeds
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -279,7 +276,7 @@ def cmd_reproduce(args, resolved, out):
         print(f"triptych for sample {idx} (label {label}) -> {out}")
         return None if complement_exact else "inverted rendering is not the exact 255-complement"
 
-    seeds = _seed_list(resolved["seeds"])
+    seeds = [int(seed) for seed in resolved["seeds"].split(",")]  # checked by _resolve
     ds = load_dataset(_data_path(resolved))
     config = _train_config(resolved)  # reproduce_tables sets each row's seed and bias
     report = reproduce_tables(ds, seeds, config=config, tables=(args.what,),
@@ -423,36 +420,49 @@ def cmd_probe(args, resolved, out):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: one leaf parser per command, with --out, --config and its keys' flags
 # ---------------------------------------------------------------------------
 
+# the table rows fix the bias mode and the feature maps
+_TABLE_KEYS = "data test_fraction epochs lr batch momentum seeds jobs"
+# command -> (runner, help, the keys it reads besides out, its other flags)
+COMMANDS = {
+    "data convert": (cmd_data, "validate a CSV and copy it to --out", "data", {}),
+    "data stats": (cmd_data, "class counts and pixel histogram", "data", {}),
+    "train": (cmd_train, "train one model, save it with its feature map",
+              "data seed test_fraction bias features perm_seed epochs lr batch momentum", {}),
+    "eval": (cmd_eval, "evaluate a saved model on the test split",
+             "data seed test_fraction invert", {"--model": "model JSON written by train"}),
+    "reproduce table1": (cmd_reproduce, "train and grade the table1 cells", _TABLE_KEYS, {}),
+    "reproduce table2": (cmd_reproduce, "train and grade the table2 cells", _TABLE_KEYS, {}),
+    "reproduce figure1": (cmd_reproduce, "render a digit, its inversion and its features",
+                          "data", {}),
+    "probe weight-flip": (cmd_probe, "loss change under W1 -> -W1", "data seed",
+                          {"--model": "model JSON (default: fresh random)"}),
+    "probe orbit": (cmd_probe, "loss along the C_n weight orbit", "seed n", {}),
+    "probe goldstone": (cmd_probe, "curvature along the orbit generator", "seed n", {}),
+    "probe sampled-loss": (cmd_probe, "symmetry in expectation under sampling",
+                           "data seed mu trials samples", {}),
+}
+# the help of each first word of a two-word command
+_GROUPS = {"data": "validate or inspect the digits corpus",
+           "reproduce": "rebuild the accuracy tables or figure",
+           "probe": "run a symmetry-degeneracy probe"}
 
-def _add_common(p: argparse.ArgumentParser, data=True, seed=False,
-                test_fraction=False) -> None:
-    if data:
-        p.add_argument("--data", help="optdigits CSV (default: bundled copy)")
-    p.add_argument("--out", help="output directory (default: out)")
-    p.add_argument("--config", help="flat key=value config file")
-    if seed:
-        p.add_argument("--seed", type=int, help="seed for split/init/shuffles")
-    if test_fraction:
-        p.add_argument("--test-fraction", dest="test_fraction", type=float,
-                       help="held-out origin fraction (default 0.25)")
 
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    bias = p.add_mutually_exclusive_group()
-    bias.add_argument("--bias", dest="bias", action="store_true", default=None)
-    bias.add_argument("--no-bias", dest="bias", action="store_false", default=None)
-    p.add_argument("--features", choices=FEATURE_NAMES)
-    p.add_argument("--perm-seed", dest="perm_seed", type=int)
-
-
-def _add_sgd_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--momentum", type=float)
+def _add_flag(p: argparse.ArgumentParser, key: str) -> None:
+    default, text, _ = FLAGS[key]
+    flag = "--" + key.replace("_", "-")
+    if default is not None:
+        text = f"{text} (default {default})"
+    if not isinstance(default, bool):
+        p.add_argument(flag, dest=key, type=type(default) if default is not None else str,
+                       help=text)
+        return
+    group = p.add_mutually_exclusive_group()
+    group.add_argument(flag, dest=key, action="store_true", default=None, help=text)
+    if key in _NEGATABLE:
+        group.add_argument("--no-" + flag[2:], dest=key, action="store_false", default=None)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -473,59 +483,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="symdigits",
         description="Inversion-symmetric digit models: training, tables, probes.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("data", help="validate/inspect the digits corpus")
-    p.add_argument("what", choices=["convert", "stats"])
-    _add_common(p)
-    p.set_defaults(func=cmd_data)
-
-    p = sub.add_parser("train", help="train one model, save it with its feature map")
-    _add_common(p, seed=True, test_fraction=True)
-    _add_model_flags(p)
-    _add_sgd_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a saved model on the test split")
-    _add_common(p, seed=True, test_fraction=True)
-    p.add_argument("--model", help="model JSON written by train")
-    p.add_argument("--invert", action="store_true", default=None,
-                   help="invert the test set before prediction")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("reproduce", help="rebuild the accuracy tables or figure")
-    whats = p.add_subparsers(dest="what", required=True)
-    for table in ("table1", "table2"):
-        q = whats.add_parser(table, help=f"train and grade the {table} cells")
-        _add_common(q, test_fraction=True)
-        _add_sgd_flags(q)  # the table rows fix the bias mode and the feature maps
-        q.add_argument("--seeds", help="comma-separated seeds (default 0,1,2,3,4)")
-        q.add_argument("--jobs", type=int, help="parallel table cells (default 1)")
-        q.set_defaults(func=cmd_reproduce)
-    q = whats.add_parser("figure1", help="render a digit, its inversion and its features")
-    _add_common(q)
-    q.set_defaults(func=cmd_reproduce)
-
-    # each probe takes only the flags it reads
-    p = sub.add_parser("probe", help="run a symmetry-degeneracy probe")
-    whats = p.add_subparsers(dest="what", required=True)
-    q = whats.add_parser("weight-flip", help="loss change under W1 -> -W1")
-    _add_common(q, seed=True)
-    q.add_argument("--model", help="model JSON (default: fresh random)")
-    q = whats.add_parser("orbit", help="loss along the C_n weight orbit")
-    _add_common(q, data=False, seed=True)
-    q.add_argument("--n", type=int, help="cyclic group order (default 360)")
-    q = whats.add_parser("goldstone", help="curvature along the orbit generator")
-    _add_common(q, data=False, seed=True)
-    q.add_argument("--n", type=int, help="largest cyclic group order (default 360)")
-    q = whats.add_parser("sampled-loss", help="symmetry in expectation under sampling")
-    _add_common(q, seed=True)
-    q.add_argument("--mu", type=float, help="inclusion probability (default 0.5)")
-    q.add_argument("--trials", type=int, help="Monte Carlo trials (default 10000)")
-    q.add_argument("--samples", type=int, help="dataset subset size (default 200)")
-    for q in whats.choices.values():
-        q.set_defaults(func=cmd_probe)
-
+    commands = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for name, (runner, text, keys, others) in COMMANDS.items():
+        command, _, what = name.partition(" ")
+        if what and command not in groups:
+            group = commands.add_parser(command, help=_GROUPS[command])
+            groups[command] = group.add_subparsers(dest="what", required=True)
+        p = (groups[command] if what else commands).add_parser(what or command, help=text)
+        p.set_defaults(func=runner)
+        p.add_argument("--config", help="flat key=value config file")
+        for key in ("out", *keys.split()):
+            _add_flag(p, key)
+        for flag, flag_text in others.items():
+            p.add_argument(flag, help=flag_text)
     return parser
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib.resources
 import io
+import re
 import warnings
 
 import numpy as np
@@ -25,6 +26,8 @@ AUGMENT_SHIFTS = [shift(0, 0), shift(1, 0), shift(-1, 0), shift(0, 1), shift(0, 
 # the vacated ones among them (shifts are unsigned, so no sign to apply)
 _AUGMENT_INDEX = np.concatenate([s.index for s in AUGMENT_SHIFTS])
 _AUGMENT_VACATED = np.flatnonzero(_AUGMENT_INDEX == -1)
+# a CSV field, once stripped: a sign and ASCII digits, not int()'s "1_0"
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _in_unit_range(pixels: np.ndarray) -> bool:
@@ -120,10 +123,10 @@ def _parse_lines(path) -> tuple[np.ndarray, np.ndarray]:
             parts = line.split(",")
             if len(parts) != N_PIXELS + 1:
                 raise ValueError(f"{path}: line {lineno}: expected 65 fields, got {len(parts)}")
-            try:
-                values = [int(p) for p in parts]
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-integer field") from None
+            parts = [p.strip() for p in parts]
+            if not all(_INTEGER.fullmatch(p) for p in parts):
+                raise ValueError(f"{path}: line {lineno}: non-integer field")
+            values = [int(p) for p in parts]
             row, label = values[:N_PIXELS], values[N_PIXELS]
             if min(row) < 0 or max(row) > RAW_MAX:
                 raise ValueError(f"{path}: line {lineno}: pixel value outside 0..{RAW_MAX}")

@@ -4,8 +4,9 @@ Grayscale inversion flips the sign of every pixel.  A feature map that is
 even in the pixels (products of pairs) is exactly invariant under that
 flip, which is what the Square, NeighborProduct and PermutationProduct
 maps provide.  Every group element is one signed pixel map, PixelAction:
-inversion, the single-pixel shifts (used for data augmentation), pixel
-permutations, and quarter-turn rotations (used by the degeneracy probes).
+inversion, the single-pixel shifts (used for data augmentation), and the
+quarter-turn rotations (``rotation90(0)`` is the identity of the inversion
+group).
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ class PixelAction:
     """A signed pixel map: out[..., i] = sign[i] * x[..., index[i]], or the
     SHIFT_FILL background where index[i] == -1.
 
-    Every group element used here is one: inversion, the 1-pixel shifts,
-    pixel permutations and quarter turns.  Build them with ``inversion``,
-    ``shift``, ``permutation`` and ``rotation90``.
+    Every group element used here is one: inversion, the 1-pixel shifts
+    and quarter turns.  Build them with ``inversion``, ``shift`` and
+    ``rotation90``.
     """
 
     index: tuple
@@ -88,14 +89,6 @@ def shift(dx: int, dy: int) -> PixelAction:
     src_rows, src_cols = rows - dy, cols - dx
     inside = (src_rows >= 0) & (src_rows < GRID) & (src_cols >= 0) & (src_cols < GRID)
     return _unsigned(np.where(inside, src_rows * GRID + src_cols, -1))
-
-
-def permutation(perm) -> PixelAction:
-    """Reorder pixels: output[i] = input[perm[i]]."""
-    perm = np.asarray(perm, dtype=np.int64)
-    if sorted(perm.tolist()) != list(range(N_PIXELS)):
-        raise ValueError("perm must be a bijection on 0..63")
-    return _unsigned(perm)
 
 
 def rotation90(k: int) -> PixelAction:

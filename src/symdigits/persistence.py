@@ -31,7 +31,10 @@ def feature_map_to_dict(kind: FeatureMapKind) -> dict:
 
 def feature_map_from_dict(d: dict) -> FeatureMapKind:
     kind = d.get("kind")
-    fm = feature_map_from_name(str(kind), int(d["seed"]) if kind == "perm" else 0)
+    seed = d["seed"] if kind == "perm" else 0
+    if type(seed) is not int:  # neither a float nor a bool passes for a seed
+        raise ValueError(f"stored permutation seed {seed!r} is not an integer")
+    fm = feature_map_from_name(str(kind), seed)
     if isinstance(fm, PermutationProduct) and not np.array_equal(
             np.asarray(d["permutation"], dtype=np.int64), fm.perm):
         raise ValueError("stored permutation does not match its seed")
@@ -68,7 +71,9 @@ def model_from_dict(d: dict) -> tuple[Mlp, FeatureMapKind]:
         raise ValueError("stored weights are not all finite")
     if list(mlp.dims) != list(d["dims"]):
         raise ValueError(f"stored dims {d['dims']} do not match weight shapes {list(mlp.dims)}")
-    if mlp.use_bias != bool(d["use_bias"]):
+    if not isinstance(d["use_bias"], bool):
+        raise ValueError(f"stored bias flag {d['use_bias']!r} is not a boolean")
+    if mlp.use_bias != d["use_bias"]:
         raise ValueError("stored bias flag does not match layer contents")
     return mlp, feature_map_from_dict(d["feature_map"])
 

@@ -33,17 +33,19 @@ def _report(number, name, ok, details=""):
     assert ok, f"criterion {number} ({name}) failed: {details}"
 
 
+# The table fixtures run the real process pool (two workers), so that the
+# recorded 200-epoch digests also pin the pool's outputs to the serial ones.
 @pytest.fixture(scope="module")
 def table1(corpus):
     start = time.monotonic()
-    report = reproduce_tables(corpus, SEEDS, config=TrainConfig(), tables=("table1",))
+    report = reproduce_tables(corpus, SEEDS, config=TrainConfig(), tables=("table1",), jobs=2)
     return report, time.monotonic() - start
 
 
 @pytest.fixture(scope="module")
 def table2(corpus):
     start = time.monotonic()
-    report = reproduce_tables(corpus, SEEDS, config=TrainConfig(), tables=("table2",))
+    report = reproduce_tables(corpus, SEEDS, config=TrainConfig(), tables=("table2",), jobs=2)
     return report, time.monotonic() - start
 
 

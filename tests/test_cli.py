@@ -221,6 +221,8 @@ def test_sampled_loss_trials_without_a_standard_error_exit_one(tmp_path, capsys,
      "--seeds must be comma-separated non-negative integers, got '0,x'"),
     (["reproduce", "table2", "--seeds", "1,-2"],
      "--seeds must be comma-separated non-negative integers, got '1,-2'"),
+    (["reproduce", "table1", "--seeds", "0,,1,"],
+     "--seeds must be comma-separated non-negative integers, got '0,,1,'"),
     (["reproduce", "table1", "--seeds", "0,0"], "--seeds must not repeat a seed, got '0,0'"),
     (["train", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
     (["train", "--features", "perm", "--perm-seed", "-1"],
@@ -229,7 +231,8 @@ def test_sampled_loss_trials_without_a_standard_error_exit_one(tmp_path, capsys,
      "--seed must be a non-negative integer, got -3"),
     (["probe", "orbit", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
     (["train", "--config", "CONFIG"], "--seed must be a non-negative integer, got -4"),
-], ids=["seeds-letter", "seeds-negative", "seeds-repeated", "train-seed", "perm-seed",
+], ids=["seeds-letter", "seeds-negative", "seeds-empty-item", "seeds-repeated", "train-seed",
+        "perm-seed",
         "eval-seed", "probe-seed", "config-seed"])
 def test_bad_seeds_exit_one_naming_their_flag(tmp_path, capsys, argv, message):
     config = tmp_path / "run.cfg"
@@ -255,14 +258,20 @@ def test_bad_seeds_exit_one_naming_their_flag(tmp_path, capsys, argv, message):
     (["probe", "sampled-loss", "--mu", "nan", "--trials", "1"], "--mu must be in (0, 1], got nan"),
     (["probe", "orbit", "--n", "0"], "--n must be >= 1, got 0"),
     (["probe", "goldstone", "--n", "-2"], "--n must be >= 1, got -2"),
-    (["train", "--config", "CONFIG"], "--batch must be >= 1, got 0"),
+    (["train", "--features", "cubic"],
+     "--features must be one of identity, square, neighbor, perm, got 'cubic'"),
+    (["train", "--config", "CONFIG:batch = 0"], "--batch must be >= 1, got 0"),
+    (["train", "--config", "CONFIG:features = cubic"],
+     "--features must be one of identity, square, neighbor, perm, got 'cubic'"),
 ], ids=["batch", "lr", "epochs", "momentum", "test-fraction", "jobs", "seeds-empty", "mu",
-        "mu-before-trials", "orbit-n", "goldstone-n", "config-batch"])
+        "mu-before-trials", "orbit-n", "goldstone-n", "features", "config-batch",
+        "config-features"])
 def test_out_of_range_values_exit_one_naming_their_flag(tmp_path, capsys, argv, message):
+    # a config file's values are checked like flags
     config = tmp_path / "run.cfg"
-    config.write_text("batch = 0\n")
+    config.write_text("".join(a[len("CONFIG:"):] + "\n" for a in argv if a.startswith("CONFIG:")))
     out = tmp_path / "out"
-    argv = [str(config) if a == "CONFIG" else a for a in argv]
+    argv = [str(config) if a.startswith("CONFIG:") else a for a in argv]
     assert run(*argv, "--out", str(out)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()

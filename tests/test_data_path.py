@@ -35,10 +35,10 @@ def reference_load(path):
             parts = line.split(",")
             if len(parts) != 65:
                 raise ValueError(f"{path}: line {lineno}: expected 65 fields, got {len(parts)}")
-            try:
-                values = [int(p) for p in parts]
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-integer field") from None
+            parts = [p.strip() for p in parts]
+            if not all(re.fullmatch(r"[+-]?[0-9]+", p) for p in parts):
+                raise ValueError(f"{path}: line {lineno}: non-integer field")
+            values = [int(p) for p in parts]
             row, label = values[:64], values[64]
             if min(row) < 0 or max(row) > 16:
                 raise ValueError(f"{path}: line {lineno}: pixel value outside 0..16")
@@ -109,6 +109,7 @@ CORRUPTIONS = {
     "letter": lambda text, line, field: _insert_char(text, line * 65 + field, "x"),
     "space": lambda text, line, field: _insert_char(text, line * 65 + field, " "),
     "plus": lambda text, line, field: _insert_char(text, line * 65 + field, "+"),
+    "underscore": lambda text, line, field: _replace_field(text, line, field % 64, "1_0"),
     "crlf": lambda text, line, field: text.replace("\n", "\r\n"),
     "empty-file": lambda text, line, field: "",
     "empty-field": lambda text, line, field: _replace_field(text, line, field, ""),

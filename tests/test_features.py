@@ -3,8 +3,8 @@ import pytest
 
 from symdigits.features import (IDENTITY, Identity, NeighborProduct, PermutationProduct,
                                 PixelAction, Square, feature_map_from_name, inversion,
-                                inversion_group, make_permutation, permutation,
-                                relative_sign, rotation90, shift)
+                                inversion_group, make_permutation, relative_sign,
+                                rotation90, shift)
 
 from conftest import random_images
 
@@ -56,17 +56,6 @@ def test_rotation_group_law():
 def test_rotation_k_range():
     with pytest.raises(ValueError):
         rotation90(4)
-
-
-def test_pixel_permutation_must_be_bijection():
-    with pytest.raises(ValueError):
-        permutation([0] * 64)
-
-
-def test_pixel_permutation_reorders():
-    perm = make_permutation(3)
-    x = random_images(4, seed=6)
-    assert np.array_equal(permutation(perm).apply(x), x[:, perm])
 
 
 @pytest.mark.parametrize("dx", [-1, 0, 1])

@@ -5,7 +5,7 @@ import pytest
 
 from symdigits.features import Identity, NeighborProduct, PermutationProduct
 from symdigits.network import init_mlp
-from symdigits.persistence import load_model, save_model
+from symdigits.persistence import load_model, model_to_dict, save_model
 
 
 @pytest.mark.parametrize("use_bias", [False, True])
@@ -69,6 +69,14 @@ def test_unknown_format_rejected(tmp_path):
         load_model(path)
 
 
+def _edited_model(edit):
+    """The text of a valid bias model with a perm map of seed 1, after ``edit``;
+    the edits below once loaded as that model, coerced."""
+    doc = model_to_dict(init_mlp((64, 10), True, 0), PermutationProduct(1))
+    edit(doc)
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("content", [
     '{"format": "symdigits-model-v1"}',
     '{"format": "symdigits-model-v1", "dims": [64, 10], "use_bias": false,'
@@ -80,8 +88,11 @@ def test_unknown_format_rejected(tmp_path):
     '[1, 2]',
     '{"format": ',
     '{"format": "caf\u00e9"}',
+    _edited_model(lambda doc: doc["feature_map"].update(seed=1.7)),
+    _edited_model(lambda doc: doc["feature_map"].update(seed=True)),
+    _edited_model(lambda doc: doc.update(use_bias="no")),
 ], ids=["no-layers", "int-layer", "no-bias-key", "nan-weight", "not-an-object", "truncated",
-        "non-ascii"])
+        "non-ascii", "float-seed", "bool-seed", "string-bias-flag"])
 def test_malformed_model_file_is_a_value_error_naming_it(tmp_path, content):
     path = tmp_path / "broken.json"
     path.write_text(content, encoding="utf-8")
