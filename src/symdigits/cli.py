@@ -55,7 +55,7 @@ def _must(is_legal, legal):
 
 def _seeds_fault(text, resolved):
     seeds = [s.strip() for s in text.split(",")]
-    if not all(s.isdecimal() for s in seeds):  # an empty item included
+    if not all(s.isascii() and s.isdecimal() for s in seeds):  # an empty item included
         return "must be comma-separated non-negative integers"
     if len(set(map(int, seeds))) != len(seeds):
         return "must not repeat a seed"
@@ -73,7 +73,8 @@ _POSITIVE = _must(lambda v: v >= 1, ">= 1")
 _FEATURES = ", ".join(FEATURE_NAMES)
 
 # key -> (default, help, legal test or None).  The key's flag is --key with
-# "-" for "_"; the default's type types the flag and the config-file value.
+# "-" for "_"; the default's type picks the parser (_PARSERS) of the flag and
+# the config-file value.
 # The library checks these values too; _resolve checks them first, from a
 # flag or a config file alike, so that the message names the flag.
 FLAGS = {
@@ -105,8 +106,24 @@ _NEGATABLE = ("bias",)
 PAPER_DIMS = (N_PIXELS, *PAPER_HIDDEN_DIMS, N_CLASSES)
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-# config-file value parser by the type of the key's default; the rest are strings
-_PARSERS = {bool: lambda value: _BOOL_WORDS[value.lower()], int: int, float: float}
+
+
+def _ascii_number(kind):
+    """``kind`` (int or float) of an ASCII text with no '_': int() and
+    float() would also read other scripts' digits and digit-group
+    underscores.  So an int is a sign and ASCII digits, as in a CSV field."""
+    def parse(text):
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
+        return kind(text)
+    parse.__name__ = kind.__name__  # argparse's message: "invalid int value"
+    return parse
+
+
+# value parser, for a flag and a config-file value alike, by the type of the
+# key's default; the rest are strings (and bool flags take no value)
+_PARSERS = {bool: lambda value: _BOOL_WORDS[value.lower()], int: _ascii_number(int),
+            float: _ascii_number(float)}
 
 
 def _parse_config_file(path, keys) -> dict:
@@ -116,6 +133,9 @@ def _parse_config_file(path, keys) -> dict:
         text = Path(path).read_text(encoding="ascii")
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise CliError(f"{path}: line {lineno}: not ASCII") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -456,8 +476,7 @@ def _add_flag(p: argparse.ArgumentParser, key: str) -> None:
     if default is not None:
         text = f"{text} (default {default})"
     if not isinstance(default, bool):
-        p.add_argument(flag, dest=key, type=type(default) if default is not None else str,
-                       help=text)
+        p.add_argument(flag, dest=key, type=_PARSERS.get(type(default), str), help=text)
         return
     group = p.add_mutually_exclusive_group()
     group.add_argument(flag, dest=key, action="store_true", default=None, help=text)

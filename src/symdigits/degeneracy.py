@@ -156,45 +156,17 @@ class ToyRotationTask:
     minimum to the trivial fixed point w = 0.
     """
 
-    base_points: np.ndarray   # (m, 2)
-    base_labels: np.ndarray   # (m,)
     n: int                    # group order
+    points: np.ndarray        # (n * m, 2): every C_n rotation of the m base points
+    labels: np.ndarray        # (n * m,)
+    # three float64 scratch vectors, one entry per point, that toy_loss and
+    # toy_gradient overwrite on every call
+    work: tuple
 
-    def __post_init__(self):
-        self.base_points = np.asarray(self.base_points, dtype=np.float64).reshape(-1, 2)
-        self.base_labels = np.asarray(self.base_labels, dtype=np.float64).reshape(-1)
-        if len(self.base_points) != len(self.base_labels):
-            raise ValueError("points and labels must have equal length")
-        if self.n < 1:
-            raise ValueError("group order n must be >= 1")
-        self._points = None
-        self._labels = None
-        self._work = None
 
-    @property
-    def group_angles(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n) / self.n
-
-    def points(self) -> np.ndarray:
-        """The training inputs: all C_n rotations of the base points.
-        Cached; loss evaluations hit this on every call."""
-        if self._points is None:
-            mats = np.stack([rotation_matrix(t) for t in self.group_angles])  # (n, 2, 2)
-            rotated = np.einsum("kab,mb->kma", mats, self.base_points)
-            self._points = rotated.reshape(-1, 2)
-        return self._points
-
-    def labels(self) -> np.ndarray:
-        if self._labels is None:
-            self._labels = np.tile(self.base_labels, self.n)
-        return self._labels
-
-    def _work_vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Three float64 scratch vectors, one entry per training input, that
-        toy_loss and toy_gradient overwrite on every call.  Allocated once."""
-        if self._work is None:
-            self._work = tuple(np.empty(len(self.points())) for _ in range(3))
-        return self._work
+def group_angles(n: int) -> np.ndarray:
+    """The rotation angles 2 pi k / n of C_n, k = 0..n-1."""
+    return 2.0 * np.pi * np.arange(n) / n
 
 
 TOY_RADII = (0.5, 1.0)
@@ -202,14 +174,20 @@ TOY_LABELS = (0.2, 0.8)     # label of the points on each circle
 
 
 def make_toy_task(n: int, n_points: int = 200, seed: int = 0) -> ToyRotationTask:
-    """Points at random angles on two circles; labels depend on the radius."""
+    """Points at random angles on two circles, labels by radius, and all
+    their C_n rotations."""
+    if n < 1:
+        raise ValueError("group order n must be >= 1")
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n_points)
     half = n_points // 2
     radius = np.where(np.arange(n_points) < half, TOY_RADII[0], TOY_RADII[1])
     labels = np.where(np.arange(n_points) < half, TOY_LABELS[0], TOY_LABELS[1])
-    points = np.stack([radius * np.cos(angles), radius * np.sin(angles)], axis=1)
-    return ToyRotationTask(points, labels, n=n)
+    base = np.stack([radius * np.cos(angles), radius * np.sin(angles)], axis=1)
+    mats = np.stack([rotation_matrix(t) for t in group_angles(n)])  # (n, 2, 2)
+    points = np.einsum("kab,mb->kma", mats, base).reshape(-1, 2)
+    return ToyRotationTask(n, points, np.tile(labels, n),
+                           tuple(np.empty(len(points)) for _ in range(3)))
 
 
 def toy_loss(task: ToyRotationTask, w) -> float:
@@ -218,8 +196,8 @@ def toy_loss(task: ToyRotationTask, w) -> float:
     Computed in the task's work vectors, so two threads must not evaluate
     the loss or gradient of one task at the same time.
     """
-    x, y = task.points(), task.labels()
-    r, _, _ = task._work_vectors()
+    x, y = task.points, task.labels
+    r, _, _ = task.work
     np.matmul(x, np.asarray(w, dtype=np.float64), out=r)
     np.tanh(r, out=r)
     np.multiply(r, r, out=r)      # f
@@ -235,8 +213,8 @@ def toy_gradient(task: ToyRotationTask, w) -> np.ndarray:
     the loss or gradient of one task at the same time.  The returned
     gradient is a fresh array.
     """
-    x, y = task.points(), task.labels()
-    t, f, coeff = task._work_vectors()
+    x, y = task.points, task.labels
+    t, f, coeff = task.work
     np.matmul(x, np.asarray(w, dtype=np.float64), out=t)
     np.tanh(t, out=t)
     np.multiply(t, t, out=f)
@@ -250,7 +228,7 @@ def toy_gradient(task: ToyRotationTask, w) -> np.ndarray:
 
 def toy_hessian(task: ToyRotationTask, w) -> np.ndarray:
     """Analytic 2x2 Hessian (used by the damped-Newton polish)."""
-    x, y = task.points(), task.labels()
+    x, y = task.points, task.labels
     t = np.tanh(x @ np.asarray(w, dtype=np.float64))
     f = t * t
     fp = 2.0 * t * (1.0 - t * t)
@@ -270,7 +248,7 @@ def train_toy(task: ToyRotationTask) -> np.ndarray:
     an orbit scan over one modulation period to pick the right angular
     basin, then damped Newton down to machine-level gradient norms."""
     w = np.array(TOY_INIT, dtype=np.float64)
-    n_points = len(task.points())
+    n_points = len(task.points)
     for _ in range(GD_ITERS):
         w -= GD_RATE * toy_gradient(task, w) / n_points
     # place w at the best angle within one period of the C_n modulation
@@ -316,7 +294,7 @@ def orbit_loss_scan(task: ToyRotationTask, w) -> OrbitScan:
     loss terms in a different order and all n values agree to float
     reassociation.
     """
-    angles = task.group_angles
+    angles = group_angles(task.n)
     w = np.asarray(w, dtype=np.float64)
     losses = np.array([toy_loss(task, rotation_matrix(t) @ w) for t in angles])
     spread = float((losses.max() - losses.min()) / np.mean(losses))

@@ -18,6 +18,7 @@ import csv
 import io
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -243,25 +244,15 @@ class TablesReport:
         }
 
 
-def _seed_reports(run, corpus: Dataset, seed: int, config: TrainConfig, tables,
-                  test_fraction: float) -> dict:
-    """(table, seed, row index) -> EvalReport for one seed's rows, each row
-    run by ``run`` (``map`` or a pool's ``map``).  The seed's sets live only
-    in this call."""
+def _table_row(corpus: Dataset, test_fraction: float, config: TrainConfig, table: str,
+               seed: int, idx: int) -> EvalReport:
+    """Row ``idx`` of ``table`` at ``seed``, on that seed's X_train and X_test.
+    The sets are built here and live only in this call."""
+    bias, features, variant = TABLE_ROWS[table][idx]
     train_ds, test_ds = shifted_split(corpus, test_fraction=test_fraction, seed=seed)
-    train_ds = Dataset(train_ds.pixels, train_ds.labels, train_ds.origin_ids, name="X_train")
-    test_ds = Dataset(test_ds.pixels, test_ds.labels, test_ds.origin_ids, name="X_test")
-    keys, row_args = [], []
-    for table in tables:
-        for idx, (bias, features, variant) in enumerate(TABLE_ROWS[table]):
-            keys.append((table, seed, idx))
-            row_args.append((replace(config, seed=seed, use_bias=bias),
-                             feature_map_from_name(features, seed), variant, train_ds, test_ds))
-    # the symmetrized rows train on twice the rows: start them first, so that
-    # a pool's workers finish the seed together; the keys keep the row order
-    order = sorted(range(len(keys)), key=lambda i: row_args[i][2] != "pmX_train")
-    results = run(run_row, *zip(*(row_args[i] for i in order)))
-    return dict(sorted(zip((keys[i] for i in order), results)))
+    train_ds.name, test_ds.name = "X_train", "X_test"
+    return run_row(replace(config, seed=seed, use_bias=bias),
+                   feature_map_from_name(features, seed), variant, train_ds, test_ds)
 
 
 def reproduce_tables(corpus: Dataset, seeds, config: TrainConfig | None = None,
@@ -269,12 +260,11 @@ def reproduce_tables(corpus: Dataset, seeds, config: TrainConfig | None = None,
                      jobs: int = 1) -> TablesReport:
     """Train and evaluate every row of the given tables for each seed.
 
-    ``corpus`` is the unaugmented set: each seed's X_train and X_test are
-    its shifted origin-group split (``shifted_split``), built when that
-    seed's rows run and dropped before the next seed's are built.  The seed
-    controls the split, the parameter init, the epoch shuffles, and (for
-    PermutationProduct) the permutation.  Cells are graded against their
-    acceptance bands on the across-seed mean.
+    ``corpus`` is the unaugmented set: each row builds its seed's X_train and
+    X_test, the shifted origin-group split (``shifted_split``), and drops
+    them when it ends.  The seed controls the split, the parameter init, the
+    epoch shuffles, and (for PermutationProduct) the permutation.  Cells are
+    graded against their acceptance bands on the across-seed mean.
     """
     seeds = list(seeds)
     if not seeds:
@@ -286,23 +276,23 @@ def reproduce_tables(corpus: Dataset, seeds, config: TrainConfig | None = None,
                          f"got {tables!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    config = config or TrainConfig()
-    tables = [t for t in TABLE_ROWS if t in tables]
-
-    def run_seeds(run) -> dict:
-        return {key: report for seed in seeds
-                for key, report in _seed_reports(run, corpus, seed, config, tables,
-                                                 test_fraction).items()}
-
+    row = partial(_table_row, corpus, test_fraction, config or TrainConfig())
+    keys = [(table, seed, idx) for seed in seeds for table in TABLE_ROWS if table in tables
+            for idx in range(len(TABLE_ROWS[table]))]
+    # the symmetrized rows train on twice the rows: start them first, so that
+    # a pool's workers finish together
+    order = sorted(keys, key=lambda key: TABLE_ROWS[key[0]][key[2]][2] != "pmX_train")
     # never more worker processes than CPUs or rows: a pool forks all of
     # its workers at the first submit
-    n_rows = len(seeds) * sum(len(TABLE_ROWS[t]) for t in tables)
-    workers = min(jobs, os.cpu_count() or 1, n_rows)
+    workers = min(jobs, os.cpu_count() or 1, len(keys))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return TablesReport(seeds, run_seeds(pool.map))
-    return TablesReport(seeds, run_seeds(map))
+            done = dict(zip(order, pool.map(row, *zip(*order))))
+    else:
+        done = dict(zip(order, map(row, *zip(*order))))
+    # in key order: cell_mean averages the seeds in insertion order
+    return TablesReport(seeds, {key: done[key] for key in keys})
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import symdigits
-from symdigits.cli import DEFAULTS, build_parser, main
+from symdigits.cli import DEFAULTS, _resolve, build_parser, main
 from symdigits.digits import bundled_data_path
 from symdigits.features import Identity
 from symdigits.network import init_mlp
@@ -231,9 +231,14 @@ def test_sampled_loss_trials_without_a_standard_error_exit_one(tmp_path, capsys,
      "--seed must be a non-negative integer, got -3"),
     (["probe", "orbit", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
     (["train", "--config", "CONFIG"], "--seed must be a non-negative integer, got -4"),
+    (["reproduce", "table1", "--seeds", "\u0661,2"],
+     "--seeds must be comma-separated non-negative integers, got '\u0661,2'"),
+    (["train", "--seed", "\u0663"], "argument --seed: invalid int value: '\u0663'"),
+    (["probe", "orbit", "--seed", "1_0"], "argument --seed: invalid int value: '1_0'"),
 ], ids=["seeds-letter", "seeds-negative", "seeds-empty-item", "seeds-repeated", "train-seed",
         "perm-seed",
-        "eval-seed", "probe-seed", "config-seed"])
+        "eval-seed", "probe-seed", "config-seed", "seeds-arabic-indic", "seed-arabic-indic",
+        "seed-underscore"])
 def test_bad_seeds_exit_one_naming_their_flag(tmp_path, capsys, argv, message):
     config = tmp_path / "run.cfg"
     config.write_text("seed = -4\n")
@@ -263,18 +268,39 @@ def test_bad_seeds_exit_one_naming_their_flag(tmp_path, capsys, argv, message):
     (["train", "--config", "CONFIG:batch = 0"], "--batch must be >= 1, got 0"),
     (["train", "--config", "CONFIG:features = cubic"],
      "--features must be one of identity, square, neighbor, perm, got 'cubic'"),
+    # only ASCII digits, and no digit-group underscores, as in the CSV parser
+    (["train", "--epochs", "1_0"], "argument --epochs: invalid int value: '1_0'"),
+    (["train", "--lr", "0.0_5"], "argument --lr: invalid float value: '0.0_5'"),
+    (["train", "--lr", "\u0661.\u0665"], "argument --lr: invalid float value: '\u0661.\u0665'"),
+    (["train", "--config", "CONFIG:epochs = 1_0"], "CONFIG: line 1: bad value for epochs"),
+    (["train", "--config", "CONFIG:lr = 0.0_5"], "CONFIG: line 1: bad value for lr"),
+    (["train", "--config", "CONFIG:epochs = 3\nseed = \u0663"],
+     "CONFIG: line 2: not ASCII"),
 ], ids=["batch", "lr", "epochs", "momentum", "test-fraction", "jobs", "seeds-empty", "mu",
         "mu-before-trials", "orbit-n", "goldstone-n", "features", "config-batch",
-        "config-features"])
+        "config-features", "epochs-underscore", "lr-underscore", "lr-arabic-indic",
+        "config-epochs-underscore", "config-lr-underscore", "config-seed-arabic-indic"])
 def test_out_of_range_values_exit_one_naming_their_flag(tmp_path, capsys, argv, message):
     # a config file's values are checked like flags
     config = tmp_path / "run.cfg"
-    config.write_text("".join(a[len("CONFIG:"):] + "\n" for a in argv if a.startswith("CONFIG:")))
+    config.write_text("".join(a[len("CONFIG:"):] + "\n" for a in argv if a.startswith("CONFIG:")),
+                      encoding="utf-8")
     out = tmp_path / "out"
     argv = [str(config) if a.startswith("CONFIG:") else a for a in argv]
     assert run(*argv, "--out", str(out)) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.replace('CONFIG', str(config))}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["train", "--lr", "5e-2"], "lr", 0.05),
+    (["train", "--lr", ".05"], "lr", 0.05),
+    (["train", "--momentum", "9E-1"], "momentum", 0.9),
+    (["train", "--epochs", "+7"], "epochs", 7),
+    (["probe", "orbit", "--seed", "007"], "seed", 7),
+])
+def test_ascii_numbers_still_parse(argv, key, value):
+    assert _resolve(build_parser().parse_args(argv))[key] == value
 
 
 def _parser_rows():

@@ -170,22 +170,22 @@ def test_sampled_loss_validation():
 
 def test_toy_task_labels_are_radius_functions():
     task = make_toy_task(8, n_points=50)
-    radii = np.linalg.norm(task.points(), axis=1)
-    labels = task.labels()
+    radii = np.linalg.norm(task.points, axis=1)
+    labels = task.labels
     for r, y in ((0.5, 0.2), (1.0, 0.8)):
         mask = np.isclose(radii, r)
         assert np.all(labels[mask] == y)
-    assert len(task.points()) == 50 * 8
+    assert len(task.points) == 50 * 8
 
 
 def reference_toy_loss(task, w):
-    x, y = task.points(), task.labels()
+    x, y = task.points, task.labels
     f = np.tanh(x @ np.asarray(w, dtype=np.float64)) ** 2
     return float(np.sum((y - f) ** 2))
 
 
 def reference_toy_gradient(task, w):
-    x, y = task.points(), task.labels()
+    x, y = task.points, task.labels
     t = np.tanh(x @ np.asarray(w, dtype=np.float64))
     f = t * t
     coeff = 2.0 * (f - y) * 2.0 * t * (1.0 - t * t)

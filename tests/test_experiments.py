@@ -218,6 +218,20 @@ def test_reproduce_tables_caps_worker_processes(monkeypatch, corpus, cpus, jobs,
     assert report.cells == reproduce_tables(head, **kwargs).cells
 
 
+def test_process_pool_with_unsorted_seeds_matches_serial(corpus):
+    # the pool takes the rows of every seed at once, symmetrized rows first;
+    # the report keeps the seeds' given order, which cell_mean sums in
+    head = Dataset(corpus.pixels[:100], corpus.labels[:100],
+                   corpus.origin_ids[:100], name="head")
+    kwargs = dict(seeds=[2, 0], config=TrainConfig(epochs=1))
+    pooled = reproduce_tables(head, jobs=2, **kwargs)
+    serial = reproduce_tables(head, **kwargs)
+    keys = [(table, seed, idx) for seed in (2, 0) for table in ("table1", "table2")
+            for idx in range(len(TABLE_ROWS[table]))]
+    assert list(pooled.reports) == list(serial.reports) == keys
+    assert pooled.to_dict() == serial.to_dict()
+
+
 def test_reproduce_tables_csv_output(tmp_path, corpus):
     head = Dataset(corpus.pixels[:200], corpus.labels[:200],
                    corpus.origin_ids[:200], name="head")
