@@ -57,7 +57,11 @@ def _seeds_fault(text, resolved):
     seeds = [s.strip() for s in text.split(",")]
     if not all(s.isascii() and s.isdecimal() for s in seeds):  # an empty item included
         return "must be comma-separated non-negative integers"
-    if len(set(map(int, seeds))) != len(seeds):
+    try:
+        values = set(map(int, seeds))
+    except ValueError:  # beyond int()'s digit limit
+        return f"must have at most {sys.get_int_max_str_digits()} digits per seed"
+    if len(values) != len(seeds):
         return "must not repeat a seed"
     return None
 

@@ -237,6 +237,12 @@ def toy_hessian(task: ToyRotationTask, w) -> np.ndarray:
     return (x * coeff[:, None]).T @ x
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """True if a and b hold the same bytes: unlike np.array_equal, -0.0 and
+    0.0 differ.  The fixed-point exits of the iterations below use it."""
+    return a.tobytes() == b.tobytes()
+
+
 TOY_INIT = (0.9, 0.4)       # starting weights of train_toy
 GD_ITERS = 800
 GD_RATE = 0.5
@@ -246,11 +252,18 @@ GRAD_TOL = 1e-9             # gradient norm that ends the Newton polish
 def train_toy(task: ToyRotationTask) -> np.ndarray:
     """Find a minimum of the toy loss: gradient descent to reach the valley,
     an orbit scan over one modulation period to pick the right angular
-    basin, then damped Newton down to machine-level gradient norms."""
+    basin, then damped Newton down to machine-level gradient norms.
+
+    A descent step depends only on the task and the bits of w, so a step
+    that leaves w bitwise unchanged would be repeated exactly by every later
+    one: the descent ends there, with the w that all GD_ITERS steps give."""
     w = np.array(TOY_INIT, dtype=np.float64)
     n_points = len(task.points)
     for _ in range(GD_ITERS):
-        w -= GD_RATE * toy_gradient(task, w) / n_points
+        w_next = w - GD_RATE * toy_gradient(task, w) / n_points
+        if _same_bits(w_next, w):
+            break
+        w = w_next
     # place w at the best angle within one period of the C_n modulation
     period = 2.0 * np.pi / task.n
     offsets = np.linspace(0.0, period, 64, endpoint=False)
@@ -331,7 +344,7 @@ def _power_iteration(operator, v) -> float:
             break
         rayleigh = float(v @ av)
         v_next = av / norm
-        if np.array_equal(v_next, v):
+        if _same_bits(v_next, v):
             break
         v = v_next
     return rayleigh

@@ -54,6 +54,10 @@ class BoundCheckReport:
 def bound_check(mlp: Mlp, feature_map: FeatureMapKind, test: Dataset) -> BoundCheckReport:
     """Verify R + Rbar <= 1 for a bias-free network on raw pixels.
 
+    The bound assumes that no sample has all of its logits tied: such a
+    sample is predicted as class 0 on x and on -x, so one of class 0 (the
+    zero image, for one) counts as correct on both.
+
     Also checks, sample by sample, that the prediction on -x equals the
     argmin of the logits on x whenever that minimum is unique.  Rejects
     models with biases or non-identity features: the theorem's hypotheses

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import symdigits
-from symdigits.cli import DEFAULTS, _resolve, build_parser, main
+from symdigits.cli import DEFAULTS, FLAGS, CliError, _resolve, build_parser, main
 from symdigits.digits import bundled_data_path
 from symdigits.features import Identity
 from symdigits.network import init_mlp
@@ -216,6 +218,10 @@ def test_sampled_loss_trials_without_a_standard_error_exit_one(tmp_path, capsys,
     assert not (out / "manifest.json").exists()
 
 
+# one digit more than int() converts from text by default
+LONG_SEED = "1" * 4301
+
+
 @pytest.mark.parametrize("argv, message", [
     (["reproduce", "table1", "--seeds", "0,x"],
      "--seeds must be comma-separated non-negative integers, got '0,x'"),
@@ -235,15 +241,20 @@ def test_sampled_loss_trials_without_a_standard_error_exit_one(tmp_path, capsys,
      "--seeds must be comma-separated non-negative integers, got '\u0661,2'"),
     (["train", "--seed", "\u0663"], "argument --seed: invalid int value: '\u0663'"),
     (["probe", "orbit", "--seed", "1_0"], "argument --seed: invalid int value: '1_0'"),
+    (["reproduce", "table1", "--seeds", f"0,{LONG_SEED}"],
+     f"--seeds must have at most 4300 digits per seed, got '0,{LONG_SEED}'"),
+    (["reproduce", "table2", "--config", "SEEDS_CONFIG"],
+     f"--seeds must have at most 4300 digits per seed, got '{LONG_SEED}'"),
 ], ids=["seeds-letter", "seeds-negative", "seeds-empty-item", "seeds-repeated", "train-seed",
         "perm-seed",
         "eval-seed", "probe-seed", "config-seed", "seeds-arabic-indic", "seed-arabic-indic",
-        "seed-underscore"])
+        "seed-underscore", "seeds-too-long", "config-seeds-too-long"])
 def test_bad_seeds_exit_one_naming_their_flag(tmp_path, capsys, argv, message):
-    config = tmp_path / "run.cfg"
-    config.write_text("seed = -4\n")
+    configs = {"CONFIG": "seed = -4\n", "SEEDS_CONFIG": f"seeds = {LONG_SEED}\n"}
+    for name, text in configs.items():
+        (tmp_path / name).write_text(text)
     out = tmp_path / "out"
-    argv = [str(config) if a == "CONFIG" else a for a in argv]
+    argv = [str(tmp_path / a) if a in configs else a for a in argv]
     assert run(*argv, "--out", str(out)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
@@ -301,6 +312,35 @@ def test_out_of_range_values_exit_one_naming_their_flag(tmp_path, capsys, argv, 
 ])
 def test_ascii_numbers_still_parse(argv, key, value):
     assert _resolve(build_parser().parse_args(argv))[key] == value
+
+
+_ASCII = st.characters(codec="ascii")
+_CONFIG_VALUES = st.one_of(
+    st.text(_ASCII, max_size=12),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["0", "1", "-1", "0.5", "1e999", "nan", "yes", "False", "0,1", "1,1",
+                     "perm", LONG_SEED]))
+_CONFIG_LINES = st.one_of(
+    st.text(_ASCII, max_size=20),
+    st.builds("{} = {}".format, st.sampled_from(list(FLAGS)), _CONFIG_VALUES))
+_PARSER = build_parser()  # parse_args leaves it unchanged
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "reproduce table1", "probe orbit",
+                                     "probe sampled-loss", "data stats"])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_CONFIG_LINES, max_size=6))
+def test_any_ascii_config_file_resolves_or_is_a_usage_error(tmp_path, command, lines):
+    config = tmp_path / "run.cfg"
+    config.write_text("\n".join(lines), encoding="ascii")
+    args = _PARSER.parse_args([*command.split(), "--config", str(config)])
+    try:
+        resolved = _resolve(args)
+    except CliError:
+        return
+    assert set(resolved) == {key for key in FLAGS if hasattr(args, key)}
 
 
 def _parser_rows():

@@ -257,6 +257,61 @@ def test_train_toy_reaches_a_nontrivial_minimum():
     assert eigs[0] > -1e-6  # a minimum, not a saddle
 
 
+def reference_train_toy(task):
+    """All 800 descent steps, with no early stop, then the basin scan and
+    the Newton polish."""
+    w = np.array((0.9, 0.4), dtype=np.float64)
+    n_points = len(task.points)
+    for _ in range(800):
+        w -= 0.5 * toy_gradient(task, w) / n_points
+    period = 2.0 * np.pi / task.n
+    offsets = np.linspace(0.0, period, 64, endpoint=False)
+    losses = [toy_loss(task, rotation_matrix(t) @ w) for t in offsets]
+    w = rotation_matrix(offsets[int(np.argmin(losses))]) @ w
+    lam = 1e-8
+    for _ in range(200):
+        g = toy_gradient(task, w)
+        gn = float(np.linalg.norm(g))
+        if gn < 1e-9:
+            break
+        H = toy_hessian(task, w)
+        for _ in range(60):
+            try:
+                step = np.linalg.solve(H + lam * np.eye(2), g)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            if np.linalg.norm(toy_gradient(task, w - step)) < gn:
+                w = w - step
+                lam = max(lam / 10.0, 1e-12)
+                break
+            lam *= 10.0
+        else:
+            break
+    return w
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+@pytest.mark.parametrize("n", [1, 4, 16, 64, 360])
+def test_train_toy_stops_at_its_fixed_point_with_the_same_bits(monkeypatch, n, seed):
+    task = make_toy_task(n, seed=seed)
+    calls = []  # "g" per gradient, "l" per loss; the basin scan's losses end the descent
+
+    def counted_gradient(task, w):
+        calls.append("g")
+        return toy_gradient(task, w)
+
+    def counted_loss(task, w):
+        calls.append("l")
+        return toy_loss(task, w)
+
+    monkeypatch.setattr(degeneracy, "toy_gradient", counted_gradient)
+    monkeypatch.setattr(degeneracy, "toy_loss", counted_loss)
+    assert train_toy(task).tobytes() == reference_train_toy(task).tobytes()
+    if n >= 64:  # w reaches a bitwise fixed point near step 500 at these orders
+        assert calls.index("l") < 800
+
+
 def test_orbit_scan_is_flat_for_closed_task():
     task = make_toy_task(4)
     scan = orbit_loss_scan(task, np.array([1.3, -0.2]))

@@ -3,12 +3,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from symdigits.digits import Dataset, augment_shifts, invert_dataset, split, symmetrize
 from symdigits.experiments import (CELLS, CSV_FIELDS, TABLE_ROWS, accuracy, bound_check,
                                    evaluate, reproduce_tables, run_row)
 from symdigits.features import Identity, NeighborProduct, PermutationProduct, Square
-from symdigits.network import Layer, Mlp, TrainConfig, init_mlp, train
+from symdigits.network import Layer, Mlp, TrainConfig, forward, init_mlp, train
 
 
 def zero_model():
@@ -52,6 +55,37 @@ def test_bound_holds_for_random_models():
         assert report.holds
         assert report.n_argmin_violations == 0
         assert report.bound_sum <= 1.0
+
+
+@st.composite
+def bias_free_models_and_test_sets(draw):
+    hidden = draw(st.lists(st.integers(1, 12), max_size=3))
+    mlp = init_mlp((64, *hidden, 10), False, draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 12))
+    pixels = draw(hnp.arrays(np.float64, (rows, 64), elements=st.floats(-1.0, 1.0)))
+    pixels[draw(hnp.arrays(np.bool_, rows))] = 0.0  # zero rows: every logit ties
+    labels = draw(hnp.arrays(np.int64, rows, elements=st.integers(0, 9)))
+    return mlp, Dataset(pixels, labels, np.arange(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bias_free_models_and_test_sets())
+def test_bound_exceeds_one_only_by_label_zero_rows_with_tied_logits(model_and_set):
+    mlp, ds = model_and_set
+    report = bound_check(mlp, Identity(), ds)
+    logits = forward(mlp, ds.pixels)
+    tied = (logits == logits[:, :1]).all(axis=1)
+    n = len(ds)
+    correct, correct_inverted = round(report.R * n), round(report.R_bar * n)
+    assert correct + correct_inverted <= n + int(np.sum(tied & (ds.labels == 0)))
+    assert report.n_argmin_violations == 0
+
+
+def test_zero_image_of_class_zero_is_correct_on_both_sides():
+    # all ten logits are 0, so x and -x are both predicted as class 0
+    report = bound_check(init_mlp((64, 10, 5, 10), False, 0), Identity(),
+                         Dataset(np.zeros((1, 64)), [0], [0]))
+    assert (report.R, report.R_bar, report.holds) == (1.0, 1.0, False)
 
 
 def test_bound_check_rejects_bias_or_invariant_features():
