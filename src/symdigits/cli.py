@@ -34,7 +34,7 @@ from .degeneracy import (generator_curvature_sweep, make_toy_task,
                          weight_orbit_invariance, weight_flip_deviation)
 from .digits import (Dataset, augment_shifts, bundled_data_path, class_counts,
                      dataset_stats, invert_dataset, load_dataset, pixels_to_gray_levels,
-                     render_image, shifted_split, symmetrize)
+                     render_image, shifted_split, shifted_test_side, symmetrize)
 from .experiments import CELLS, bound_check, evaluate, format_verdicts, reproduce_tables
 from .features import (FEATURE_NAMES, N_PIXELS, Identity, NeighborProduct,
                        feature_map_from_name, inversion_group)
@@ -191,9 +191,10 @@ def _data_path(resolved) -> str:
     return resolved["data"] if resolved["data"] else str(bundled_data_path())
 
 
-def _load_splits(resolved) -> tuple[Dataset, Dataset]:
-    return shifted_split(load_dataset(_data_path(resolved)),
-                         test_fraction=resolved["test_fraction"], seed=resolved["seed"])
+def _load_split(resolved, sides=shifted_split):
+    """``sides`` (``shifted_split`` or ``shifted_test_side``) of the corpus."""
+    return sides(load_dataset(_data_path(resolved)),
+                 test_fraction=resolved["test_fraction"], seed=resolved["seed"])
 
 
 def _train_config(resolved, **fixed) -> TrainConfig:
@@ -230,7 +231,7 @@ def cmd_data(args, resolved, out):
 def cmd_train(args, resolved, out):
     feature_map = feature_map_from_name(resolved["features"], resolved["perm_seed"])
     config = _train_config(resolved, seed=resolved["seed"], use_bias=resolved["bias"])
-    train_ds, test_ds = _load_splits(resolved)
+    train_ds, test_ds = _load_split(resolved)
     result = train(config, feature_map.apply(train_ds.pixels), train_ds.labels)
     save_model(out / "model.json", result.mlp, feature_map)
     with open(out / "training_curve.csv", "w", newline="", encoding="ascii") as f:
@@ -248,7 +249,7 @@ def cmd_eval(args, resolved, out):
     if not args.model:
         raise CliError("eval requires --model")
     mlp, feature_map = load_model(args.model)
-    _, test_ds = _load_splits(resolved)
+    test_ds = _load_split(resolved, shifted_test_side)
     if resolved["invert"]:
         test_ds = invert_dataset(test_ds)
     if mlp.layers[0].fan_in != test_ds.pixels.shape[1]:
@@ -501,26 +502,49 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give ``p`` the arguments of command ``name`` (a COMMANDS key)."""
+    runner, _, keys, others = COMMANDS[name]
+    command, _, what = name.partition(" ")
+    p.set_defaults(func=runner, command=command, what=what or None)
+    p.add_argument("--config", help="flat key=value config file")
+    for key in ("out", *keys.split()):
+        _add_flag(p, key)
+    for flag, flag_text in others.items():
+        p.add_argument(flag, help=flag_text)
+    return p
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or only the leaf parser of ``command`` (a COMMANDS
+    key), which parses the arguments after the command's words."""
+    if command is not None:
+        return _add_command(_Parser(prog=f"symdigits {command}"), command)
     parser = _Parser(
         prog="symdigits",
         description="Inversion-symmetric digit models: training, tables, probes.")
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
     groups = {}
-    for name, (runner, text, keys, others) in COMMANDS.items():
+    for name, (_, text, _, _) in COMMANDS.items():
         command, _, what = name.partition(" ")
         if what and command not in groups:
             group = commands.add_parser(command, help=_GROUPS[command])
             groups[command] = group.add_subparsers(dest="what", required=True)
-        p = (groups[command] if what else commands).add_parser(what or command, help=text)
-        p.set_defaults(func=runner)
-        p.add_argument("--config", help="flat key=value config file")
-        for key in ("out", *keys.split()):
-            _add_flag(p, key)
-        for flag, flag_text in others.items():
-            p.add_argument(flag, help=flag_text)
+        _add_command((groups[command] if what else commands).add_parser(what or command,
+                                                                       help=text), name)
     return parser
+
+
+def _command_of(argv: list) -> str | None:
+    """The COMMANDS key that argv's first words name, or None when argv names
+    none or asks for help or the version: only the full parser prints
+    those, and every message about a command word."""
+    if {"-h", "--help", "--version"}.isdisjoint(argv):
+        for name in COMMANDS:
+            if argv[:name.count(" ") + 1] == name.split():
+                return name
+    return None
 
 
 def _outermost_missing(path: Path) -> Path | None:
@@ -534,17 +558,20 @@ def _outermost_missing(path: Path) -> Path | None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _command_of(argv)
     created = None
     try:
-        args = parser.parse_args(argv)
+        # the named command's parser alone: all of them cost more than a parse
+        args = build_parser(command).parse_args(
+            argv[command.count(" ") + 1:] if command else argv)
         resolved = _resolve(args)
         out = Path(resolved["out"])
         created = _outermost_missing(out)
         out.mkdir(parents=True, exist_ok=True)
         failure = args.func(args, resolved, out)
-        command = f"{args.command} {args.what}" if hasattr(args, "what") else args.command
-        _write_manifest(out, command, resolved)
+        _write_manifest(out, f"{args.command} {args.what}" if args.what else args.command,
+                        resolved)
     except TrainingDiverged as exc:
         failure = str(exc)
     except (CliError, ValueError, OSError) as exc:

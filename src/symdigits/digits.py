@@ -232,16 +232,28 @@ def shifted_split(ds: Dataset, test_fraction: float = 0.25,
 
     Shifting keeps origin_ids and puts an image's five copies where the image
     was, so both forms give the same origin groups, the same rows in the same
-    order, and (renamed below) the same names and lineage.  The peak is the
-    two results plus the unshifted sides, not twice the results.
+    order, and (renamed by ``_shifted_side``) the same names and lineage.
+    The peak is the two results plus the unshifted sides, not twice the
+    results.
     """
-    sides = []
-    for side, suffix in zip(split(ds, test_fraction, seed), (".train", ".test")):
-        shifted = augment_shifts(side)
-        shifted.name = ds.name + "+shifts" + suffix
-        shifted.lineage[-2:] = reversed(shifted.lineage[-2:])  # shifted, then split
-        sides.append(shifted)
-    return sides[0], sides[1]
+    train, test = split(ds, test_fraction, seed)
+    return _shifted_side(train), _shifted_side(test)
+
+
+def shifted_test_side(ds: Dataset, test_fraction: float = 0.25, seed: int = 0) -> Dataset:
+    """``shifted_split(ds, test_fraction, seed)[1]``, without shifting the
+    train side."""
+    return _shifted_side(split(ds, test_fraction, seed)[1])
+
+
+def _shifted_side(side: Dataset) -> Dataset:
+    """A side of ``split``, shifted, with the name and lineage of that side
+    of the shifted corpus's split: shifted, then split."""
+    shifted = augment_shifts(side)
+    corpus, _, which = side.name.rpartition(".")
+    shifted.name = f"{corpus}+shifts.{which}"
+    shifted.lineage[-2:] = reversed(shifted.lineage[-2:])
+    return shifted
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,7 @@ class EvalReport:
     confusion_inverted: np.ndarray
     sample_counts: dict
     bound_holds: bool | None  # None when the theorem's hypotheses do not apply
+    mlp: Mlp = field(repr=False, compare=False)  # the model evaluated; not in to_dict
 
     def __post_init__(self):
         n_test = self.sample_counts["test"]
@@ -133,7 +134,7 @@ def evaluate(mlp: Mlp, feature_map: FeatureMapKind, test: Dataset,
         R=R, R_bar=R_bar, bound_sum=R + R_bar,
         confusion=confusion, confusion_inverted=confusion_inv,
         sample_counts={"train": n_train, "test": len(test)},
-        bound_holds=bool(R + R_bar <= 1.0) if theorem_applies else None)
+        bound_holds=bool(R + R_bar <= 1.0) if theorem_applies else None, mlp=mlp)
 
 
 def run_row(config: TrainConfig, feature_map: FeatureMapKind, train_variant: str,

@@ -19,9 +19,9 @@ from symdigits.degeneracy import (generator_curvature, generator_curvature_sweep
                                   sampled_loss_expectation, train_toy,
                                   weight_flip_deviation, weight_orbit_invariance)
 from symdigits.digits import Dataset, augment_shifts, split, symmetrize
-from symdigits.experiments import bound_check, reproduce_tables
+from symdigits.experiments import TABLE_ROWS, bound_check, reproduce_tables
 from symdigits.features import Identity, inversion_group
-from symdigits.network import TrainConfig, backward, grad_check, init_mlp, train
+from symdigits.network import TrainConfig, backward, grad_check, init_mlp
 from symdigits.persistence import load_model, model_to_dict, save_model
 
 SEEDS = [0, 1, 2, 3, 4]
@@ -50,15 +50,13 @@ def table2(corpus):
 
 
 @pytest.fixture(scope="module")
-def trained_nobias(augmented):
+def trained_nobias(table1, augmented):
     """Default-config no-bias identity models, one per seed, with their
-    train/test splits."""
-    out = []
-    for seed in SEEDS:
-        train_ds, test_ds = split(augmented, 0.25, seed=seed)
-        result = train(TrainConfig(seed=seed), train_ds.pixels, train_ds.labels)
-        out.append((result.mlp, train_ds, test_ds))
-    return out
+    train/test splits: table 1's no-bias X_train row, which trains them."""
+    row = TABLE_ROWS["table1"].index((False, "identity", "X_train"))
+    reports = table1[0].reports
+    return [(reports[("table1", seed, row)].mlp, *split(augmented, 0.25, seed=seed))
+            for seed in SEEDS]
 
 
 # ---------------------------------------------------------------------------

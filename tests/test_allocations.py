@@ -13,11 +13,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import symdigits.cli as cli
 from symdigits.degeneracy import dataset_is_inversion_closed
 from symdigits.digits import Dataset, shifted_split, split, symmetrize
 from symdigits.experiments import reproduce_tables
 from symdigits.features import Identity, NeighborProduct, PermutationProduct, Square
-from symdigits.network import N_CLASSES, TrainConfig, softmax, train
+from symdigits.network import N_CLASSES, TrainConfig, init_mlp, softmax, train
+from symdigits.persistence import save_model
 
 from conftest import random_images
 
@@ -116,6 +118,20 @@ def test_shifted_split_holds_its_results_and_the_unshifted_sides(corpus):
     # sides are a fifth of the results; split(augment_shifts(corpus)) holds
     # the whole augmented corpus and both sides gathered from it, 1.80 x
     assert peak <= 1.05 * (held_bytes(*sides) + unshifted)
+
+
+@pytest.mark.parametrize("invert", [[], ["--invert"]], ids=["X_test", "-X_test"])
+def test_eval_shifts_only_the_test_side(corpus, tmp_path, monkeypatch, invert):
+    model = tmp_path / "model.json"
+    save_model(model, init_mlp((64, 10, 5, 10), False, 0), Identity())
+    monkeypatch.setattr(cli, "load_dataset", lambda path: corpus)  # loaded before the trace
+    argv = ["eval", "--model", str(model), "--out", str(tmp_path / "out"), *invert]
+    code, peak = traced_peak(lambda: cli.main(argv))
+    assert code == 0
+    train_side, _ = shifted_split(corpus, test_fraction=0.25, seed=0)
+    # measured: 2.81 MB against the train side's 3.56 MB; shifting both
+    # sides and dropping the train side peaked at 6.46 MB
+    assert peak < held_bytes(train_side)
 
 
 def test_table_runs_hold_one_seeds_sets_at_a_time(corpus):

@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import symdigits
-from symdigits.cli import DEFAULTS, FLAGS, CliError, _resolve, build_parser, main
+import symdigits.cli as cli
+from symdigits.cli import COMMANDS, DEFAULTS, FLAGS, CliError, _resolve, build_parser, main
 from symdigits.digits import bundled_data_path
 from symdigits.features import Identity
 from symdigits.network import init_mlp
@@ -343,17 +344,19 @@ def test_any_ascii_config_file_resolves_or_is_a_usage_error(tmp_path, command, l
     assert set(resolved) == {key for key in FLAGS if hasattr(args, key)}
 
 
+def leaves(parser, command=""):
+    """(command words, parser) for every leaf parser under ``parser``."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from leaves(child, f"{command} {name}".strip())
+    if not subparsers:
+        yield command, parser
+
+
 def _parser_rows():
     """command -> (keys, other flags, reads --data) for every command that
     build_parser defines."""
-    def leaves(parser, command):
-        subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        for action in subparsers:
-            for name, child in action.choices.items():
-                yield from leaves(child, f"{command} {name}".strip())
-        if not subparsers:
-            yield command, parser
-
     rows = {}
     for command, parser in leaves(build_parser(), ""):
         optional = [a for a in parser._actions if a.option_strings and a.dest != "help"]
@@ -605,3 +608,110 @@ def test_outputs_are_idempotent_except_manifest(tmp_path, small_csv):
     assert (a / "model.json").read_bytes() == (b / "model.json").read_bytes()
     assert (a / "training_curve.csv").read_bytes() == (b / "training_curve.csv").read_bytes()
     assert (a / "train_report.json").read_bytes() == (b / "train_report.json").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# a call builds only its command's leaf parser
+# ---------------------------------------------------------------------------
+
+
+def reference_parser():
+    """The full parser as every call built it before a call built only its
+    own command's leaf, copied verbatim but for its imports."""
+    parser = cli._Parser(
+        prog="symdigits",
+        description="Inversion-symmetric digit models: training, tables, probes.")
+    parser.add_argument("--version", action="version", version=symdigits.__version__)
+    commands = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for name, (runner, text, keys, others) in COMMANDS.items():
+        command, _, what = name.partition(" ")
+        if what and command not in groups:
+            group = commands.add_parser(command, help=cli._GROUPS[command])
+            groups[command] = group.add_subparsers(dest="what", required=True)
+        p = (groups[command] if what else commands).add_parser(what or command, help=text)
+        p.set_defaults(func=runner)
+        p.add_argument("--config", help="flat key=value config file")
+        for key in ("out", *keys.split()):
+            cli._add_flag(p, key)
+        for flag, flag_text in others.items():
+            p.add_argument(flag, help=flag_text)
+    return parser
+
+
+def _options(parser):
+    """What a parser accepts, field by field, and its help text."""
+    fields = ("option_strings", "dest", "default", "help", "type", "nargs", "const", "required")
+    return ([tuple(getattr(a, f) for f in fields) for a in parser._actions],
+            parser._defaults, parser.format_help())
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_a_leaf_parser_built_alone_is_its_leaf_in_the_full_parser(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    in_full = dict(leaves(build_parser()))[command]
+    assert _options(build_parser(command)) == _options(in_full)
+    # as before, but for the command's words, now defaults of the leaf
+    options, defaults, text = _options(in_full)
+    old_options, old_defaults, old_text = _options(dict(leaves(reference_parser()))[command])
+    assert (options, text) == (old_options, old_text)
+    first, _, what = command.partition(" ")
+    assert defaults == {**old_defaults, "command": first, "what": what or None}
+
+
+def _stream_of(capsys, call):
+    """(stdout, stderr, exit status) of a call that may exit through argparse."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--bogus"], ["train", "--epo", "3"], ["reproduce", "table1", "--seed", "0"],
+    ["bogus"], ["reproduce"], ["data", "--out", "d", "stats"], [],
+    ["train", "--epochs", "x"], ["train", "--bias", "--no-bias"], ["eval", "--model"],
+    ["probe", "orbit", "extra"], ["train", "--", "x"], ["train", "--out=d", "--version"],
+], ids=["unknown-flag", "abbreviated-flag", "abbreviated-seeds", "unknown-command",
+        "missing-second-word", "flag-before-second-word", "no-command", "bad-int",
+        "exclusive-flags", "missing-value", "extra-word", "double-dash", "leaf-version"])
+def test_usage_errors_read_as_with_the_full_parser(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # a parse that succeeded would write here
+    with pytest.raises(CliError) as expected:
+        reference_parser().parse_args(argv)
+    assert _stream_of(capsys, lambda: main(argv)) == ("", f"error: {expected.value}\n", 1)
+    command = cli._command_of(argv)
+    if command:  # the leaf alone says it too
+        with pytest.raises(CliError, match=re.escape(str(expected.value))):
+            build_parser(command).parse_args(argv[command.count(" ") + 1:])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h"], ["--version"], ["probe", "--help"], ["reproduce", "-h"],
+    *([*command.split(), "--help"] for command in COMMANDS),
+    ["train", "--epochs", "3", "-h"],
+], ids=lambda argv: " ".join(argv) or "none")
+def test_help_and_version_print_what_they_printed_before(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    before = _stream_of(capsys, lambda: reference_parser().parse_args(argv))
+    assert before[0] and before[1:] == ("", 0)
+    assert _stream_of(capsys, lambda: main(argv)) == before
+
+
+def test_a_call_builds_one_leaf_parser(tmp_path, small_csv, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert run("train", "--data", small_csv, "--epochs", "1", "--out", str(tmp_path / "t")) == 0
+    assert built == ["symdigits train"]
+    built.clear()
+    build_parser()  # the full parser: 1 + 3 groups + 11 leaves
+    assert len(built) == 1 + len(cli._GROUPS) + len(COMMANDS)

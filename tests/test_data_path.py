@@ -18,7 +18,8 @@ import symdigits
 from symdigits.degeneracy import dataset_is_inversion_closed
 from symdigits.digits import (AUGMENT_SHIFTS, Dataset, _distinct_sorted, _parse_canonical,
                               augment_shifts, bundled_data_path, load_optdigits,
-                              pixels_to_gray_levels, shifted_split, split, symmetrize)
+                              pixels_to_gray_levels, shifted_split, shifted_test_side, split,
+                              symmetrize)
 from symdigits.features import Identity, NeighborProduct, PermutationProduct, inversion
 
 from conftest import random_images
@@ -252,6 +253,14 @@ def test_shifted_split_of_the_corpus(corpus, augmented, seed):
     got = shifted_split(corpus, test_fraction=0.25, seed=seed)
     assert_same_datasets(got, split(augmented, test_fraction=0.25, seed=seed))
     assert [ds.name for ds in got] == ["optdigits+shifts.train", "optdigits+shifts.test"]
+
+
+@pytest.mark.parametrize("fraction", [0.25, 0.5])
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_eval_test_side_is_the_test_side_of_shifted_split(corpus, augmented, seed, fraction):
+    got = shifted_test_side(corpus, test_fraction=fraction, seed=seed)
+    assert_same_datasets([got, got], [shifted_split(corpus, test_fraction=fraction, seed=seed)[1],
+                                      split(augmented, test_fraction=fraction, seed=seed)[1]])
 
 
 def test_data_path_does_not_import_numpy_ma():

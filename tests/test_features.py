@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from symdigits.features import (IDENTITY, Identity, NeighborProduct, PermutationProduct,
                                 PixelAction, Square, feature_map_from_name, inversion,
@@ -145,6 +148,20 @@ def test_neighbor_product_wraps_within_row():
 def test_invariant_maps_are_bit_exact_under_inversion(kind):
     x = random_images(1000, seed=7)
     assert np.array_equal(kind.apply(-x), kind.apply(x))
+
+
+# signed zeros, the 17 levels of the scaled corpus and any float in [-1, 1]
+_PIXELS = (st.sampled_from([-0.0, 0.0, *(k / 8.0 - 1.0 for k in range(17))])
+           | st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.integers(0, 6).flatmap(lambda n: arrays(np.float64, (n, 64), elements=_PIXELS)),
+       perm_seed=st.integers(0, 2**32 - 1))
+def test_invariant_maps_give_the_same_bytes_on_inverted_images(x, perm_seed):
+    # array_equal would take -0.0 for 0.0; the bytes tell them apart
+    for kind in (Square(), NeighborProduct(), PermutationProduct(perm_seed)):
+        assert kind.apply(-x).tobytes() == kind.apply(x).tobytes()
 
 
 def test_identity_map_is_not_invariant():

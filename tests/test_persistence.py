@@ -2,9 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from symdigits.features import Identity, NeighborProduct, PermutationProduct
-from symdigits.network import init_mlp
+from symdigits.features import (FEATURE_NAMES, Identity, NeighborProduct, PermutationProduct,
+                                feature_map_from_name)
+from symdigits.network import Layer, Mlp, init_mlp
 from symdigits.persistence import load_model, model_to_dict, save_model
 
 
@@ -26,6 +30,36 @@ def test_round_trip_is_bit_exact(tmp_path, use_bias, kind):
             assert got.bias is None
         else:
             assert np.array_equal(got.bias, want.bias)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)  # -0.0 and subnormals too
+
+
+@st.composite
+def models(draw):
+    """A model of any shape and bias mode, with any finite weights."""
+    dims = [draw(st.integers(1, 80)), *draw(st.lists(st.integers(1, 12), min_size=2,
+                                                     max_size=4))]
+    use_bias = draw(st.booleans())
+    return Mlp([Layer(draw(arrays(np.float64, (fan_out, fan_in), elements=_FINITE)),
+                      draw(arrays(np.float64, fan_out, elements=_FINITE)) if use_bias else None)
+                for fan_in, fan_out in zip(dims[:-1], dims[1:])])
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(mlp=models(), name=st.sampled_from(FEATURE_NAMES), perm_seed=st.integers(0, 2**32 - 1))
+def test_any_model_round_trips_bytewise(tmp_path, mlp, name, perm_seed):
+    kind = feature_map_from_name(name, perm_seed)
+    path = tmp_path / "model.json"
+    save_model(path, mlp, kind)
+    loaded, loaded_kind = load_model(path)
+    assert loaded_kind == kind
+    assert (loaded.dims, loaded.use_bias) == (mlp.dims, mlp.use_bias)
+    for got, want in zip(loaded.layers, mlp.layers):
+        for a, b in ((got.weights, want.weights), (got.bias, want.bias)):
+            assert (a is None and b is None) or (
+                a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes())
 
 
 def test_permutation_seed_mismatch_is_a_load_error(tmp_path):
