@@ -220,7 +220,7 @@ def cmd_data(args, resolved, out):
         ds = load_dataset(_data_path(resolved))
         stats = dataset_stats(ds)
         _write_json(out / "stats.json", stats)
-        print(f"{ds.name}: {len(ds)} images, class counts {stats['class_counts']}")
+        print(f"{len(ds)} images, class counts {stats['class_counts']}")
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,7 @@ def cmd_train(args, resolved, out):
         writer.writerows((i + 1, loss) for i, loss in enumerate(result.epoch_losses))
     report = evaluate(result.mlp, feature_map, test_ds,
                       model_id=f"train-seed{config.seed}",
-                      train_set_name=train_ds.name, n_train=len(train_ds))
+                      train_set_name="optdigits+shifts.train", n_train=len(train_ds))
     _write_json(out / "train_report.json", report.to_dict())
     print(f"model -> {out / 'model.json'}  R={report.R:.4f}  Rbar={report.R_bar:.4f}")
 
@@ -267,20 +267,20 @@ def cmd_eval(args, resolved, out):
 # ---------------------------------------------------------------------------
 
 
-def _figure1_index(ds: Dataset, label: int = 6) -> int:
-    """First sample with the given label and no exactly-zero pixel.
+def _figure1_index(ds: Dataset) -> int:
+    """First sample of a 6 with no exactly-zero pixel.
 
     A zero pixel sits on the 127.5 gray midpoint, which no 0..255 scale
     can complement exactly; skipping those samples keeps the inverted
     rendering an exact photographic negative.
     """
     for i in range(len(ds)):
-        if int(ds.labels[i]) == label and not np.any(ds.pixels[i] == 0.0):
+        if int(ds.labels[i]) == 6 and not np.any(ds.pixels[i] == 0.0):
             return i
     for i in range(len(ds)):  # fallback: complement exact except midpoints
-        if int(ds.labels[i]) == label:
+        if int(ds.labels[i]) == 6:
             return i
-    raise CliError(f"no sample with label {label} in the dataset")
+    raise CliError("no sample with label 6 in the dataset")
 
 
 def cmd_reproduce(args, resolved, out):
@@ -413,8 +413,7 @@ def _probe_sampled_loss(args, resolved, out):
     samples = resolved["samples"]
     if not 1 <= samples <= len(ds):
         raise CliError(f"--samples must be in 1..{len(ds)}, got {samples}")
-    head = Dataset(ds.pixels[:samples], ds.labels[:samples], ds.origin_ids[:samples],
-                   name="subset")
+    head = Dataset(ds.pixels[:samples], ds.labels[:samples], ds.origin_ids[:samples])
     mlp = init_mlp(PAPER_DIMS, use_bias=False, seed_or_rng=resolved["seed"])
     report = sampled_loss_expectation(mlp, head, inversion_group(),
                                       mu=resolved["mu"], trials=resolved["trials"],

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .features import GRID, N_PIXELS, SHIFT_FILL, inversion, shift
+from .features import GRID, N_PIXELS, SHIFT_FILL, shift
 from .network import N_CLASSES, as_integers
 
 RAW_MAX = 16
@@ -40,11 +40,9 @@ class Dataset:
     scaled pixels in [-1, 1] per image, its digit label, and the index of
     the source image it was derived from (augmented copies share their
     origin_id).
-
-    ``lineage`` records the derivations applied (for manifests/reports).
     """
 
-    def __init__(self, pixels, labels, origin_ids, name="dataset", lineage=()):
+    def __init__(self, pixels, labels, origin_ids):
         self.pixels = np.asarray(pixels, dtype=np.float64).reshape(-1, N_PIXELS)
         self.labels = as_integers(labels, "labels").reshape(-1)
         self.origin_ids = as_integers(origin_ids, "origin_ids").reshape(-1)
@@ -56,14 +54,9 @@ class Dataset:
             raise ValueError("labels must be in 0..9")
         if self.origin_ids.min(initial=0) < 0:
             raise ValueError("origin_ids must be non-negative")
-        self.name = name
-        self.lineage = list(lineage)
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def derive(self, pixels, labels, origin_ids, name, step) -> "Dataset":
-        return Dataset(pixels, labels, origin_ids, name=name, lineage=self.lineage + [step])
 
 
 def scale_to_unit(raw):
@@ -139,12 +132,11 @@ def _parse_lines(path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(raw_rows, dtype=np.int64), np.array(labels, dtype=np.int64)
 
 
-def load_dataset(path, name="optdigits") -> Dataset:
+def load_dataset(path) -> Dataset:
     """Read an optdigits CSV, scale its pixels and number the images in file
     order (their origin_ids)."""
     raw, labels = load_optdigits(path)
-    return Dataset(scale_to_unit(raw), labels, np.arange(len(raw)), name=name,
-                   lineage=[f"loaded {len(raw)} images, scaled to [-1,1]"])
+    return Dataset(scale_to_unit(raw), labels, np.arange(len(raw)))
 
 
 def bundled_data_path():
@@ -153,7 +145,7 @@ def bundled_data_path():
 
 
 def load_bundled_dataset() -> Dataset:
-    return load_dataset(str(bundled_data_path()), name="optdigits")
+    return load_dataset(str(bundled_data_path()))
 
 
 def augment_shifts(ds: Dataset) -> Dataset:
@@ -163,10 +155,7 @@ def augment_shifts(ds: Dataset) -> Dataset:
     shifted = np.take(ds.pixels, _AUGMENT_INDEX, axis=1)  # (n, 5 * 64)
     shifted[:, _AUGMENT_VACATED] = SHIFT_FILL
     pixels = shifted.reshape(5 * len(ds), N_PIXELS)
-    labels = np.repeat(ds.labels, 5)
-    origins = np.repeat(ds.origin_ids, 5)
-    return ds.derive(pixels, labels, origins, name=ds.name + "+shifts",
-                     step="augmented x5 with 1-pixel shifts (fill -1)")
+    return Dataset(pixels, np.repeat(ds.labels, 5), np.repeat(ds.origin_ids, 5))
 
 
 def symmetrize(ds: Dataset) -> Dataset:
@@ -179,16 +168,14 @@ def symmetrize(ds: Dataset) -> Dataset:
     pixels = np.empty((2 * n, N_PIXELS))
     pixels[:n] = ds.pixels
     np.negative(ds.pixels, out=pixels[n:])
-    labels = np.concatenate([ds.labels, ds.labels])
-    origins = np.concatenate([ds.origin_ids, ds.origin_ids])
-    return ds.derive(pixels, labels, origins, name="+-" + ds.name,
-                     step="symmetrized: appended inverted copy")
+    return Dataset(pixels, np.concatenate([ds.labels, ds.labels]),
+                   np.concatenate([ds.origin_ids, ds.origin_ids]))
 
 
 def invert_dataset(ds: Dataset) -> Dataset:
-    """The inverted copy -X of a dataset (labels unchanged)."""
-    return ds.derive(inversion().apply(ds.pixels), ds.labels, ds.origin_ids,
-                     name="-" + ds.name, step="inverted every image")
+    """The inverted copy -X of a dataset (labels unchanged); bit-equal to
+    ``inversion().apply``, as in ``symmetrize``."""
+    return Dataset(np.negative(ds.pixels), ds.labels, ds.origin_ids)
 
 
 def _distinct_sorted(values: np.ndarray) -> np.ndarray:
@@ -216,12 +203,8 @@ def split(ds: Dataset, test_fraction: float = 0.25, seed: int = 0) -> tuple[Data
     perm = np.random.default_rng(seed).permutation(origins)
     test_origins = np.sort(perm[:n_test])
     is_test = np.isin(ds.origin_ids, test_origins)
-    step = f"split by origin groups, test_fraction={test_fraction}, seed={seed}"
-    train = ds.derive(ds.pixels[~is_test], ds.labels[~is_test], ds.origin_ids[~is_test],
-                      name=ds.name + ".train", step=step + " (train side)")
-    test = ds.derive(ds.pixels[is_test], ds.labels[is_test], ds.origin_ids[is_test],
-                     name=ds.name + ".test", step=step + " (test side)")
-    return train, test
+    return (Dataset(ds.pixels[~is_test], ds.labels[~is_test], ds.origin_ids[~is_test]),
+            Dataset(ds.pixels[is_test], ds.labels[is_test], ds.origin_ids[is_test]))
 
 
 def shifted_split(ds: Dataset, test_fraction: float = 0.25,
@@ -231,29 +214,18 @@ def shifted_split(ds: Dataset, test_fraction: float = 0.25,
     shifted.
 
     Shifting keeps origin_ids and puts an image's five copies where the image
-    was, so both forms give the same origin groups, the same rows in the same
-    order, and (renamed by ``_shifted_side``) the same names and lineage.
-    The peak is the two results plus the unshifted sides, not twice the
-    results.
+    was, so both forms give the same origin groups and the same rows in the
+    same order.  The peak is the two results plus the unshifted sides, not
+    twice the results.
     """
     train, test = split(ds, test_fraction, seed)
-    return _shifted_side(train), _shifted_side(test)
+    return augment_shifts(train), augment_shifts(test)
 
 
 def shifted_test_side(ds: Dataset, test_fraction: float = 0.25, seed: int = 0) -> Dataset:
     """``shifted_split(ds, test_fraction, seed)[1]``, without shifting the
     train side."""
-    return _shifted_side(split(ds, test_fraction, seed)[1])
-
-
-def _shifted_side(side: Dataset) -> Dataset:
-    """A side of ``split``, shifted, with the name and lineage of that side
-    of the shifted corpus's split: shifted, then split."""
-    shifted = augment_shifts(side)
-    corpus, _, which = side.name.rpartition(".")
-    shifted.name = f"{corpus}+shifts.{which}"
-    shifted.lineage[-2:] = reversed(shifted.lineage[-2:])
-    return shifted
+    return augment_shifts(split(ds, test_fraction, seed)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +265,7 @@ def dataset_stats(ds: Dataset) -> dict:
     raw = unscale(ds.pixels)
     hist = np.bincount(raw.reshape(-1), minlength=RAW_MAX + 1)
     return {
-        "name": ds.name,
         "size": len(ds),
         "class_counts": class_counts(ds).tolist(),
         "pixel_histogram": hist.tolist(),
-        "lineage": list(ds.lineage),
     }

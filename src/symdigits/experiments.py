@@ -151,7 +151,8 @@ def run_row(config: TrainConfig, feature_map: FeatureMapKind, train_variant: str
     result = train(config, feature_map.apply(effective.pixels), effective.labels)
     bias = "bias" if config.use_bias else "nobias"
     model_id = f"{bias}-{feature_map.name}-{train_variant}-seed{config.seed}"
-    return evaluate(result.mlp, feature_map, test_ds, model_id, effective.name, len(effective))
+    train_set_name = "+-X_train" if train_variant == "pmX_train" else "X_train"
+    return evaluate(result.mlp, feature_map, test_ds, model_id, train_set_name, len(effective))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +256,6 @@ def _table_row(corpus: Dataset, test_fraction: float, config: TrainConfig, table
     The sets are built here and live only in this call."""
     bias, features, variant = TABLE_ROWS[table][idx]
     train_ds, test_ds = shifted_split(corpus, test_fraction=test_fraction, seed=seed)
-    train_ds.name, test_ds.name = "X_train", "X_test"
     return run_row(replace(config, seed=seed, use_bias=bias),
                    feature_map_from_name(features, seed), variant, train_ds, test_ds)
 

@@ -124,7 +124,6 @@ class Identity:
     """
 
     name = "identity"
-    invariant = False
 
     def apply(self, pixels: np.ndarray) -> np.ndarray:
         view = _as_pixels(pixels).view()
@@ -137,7 +136,6 @@ class Square:
     """chi_i = x_i^2.  Invariant, but discards every sign."""
 
     name = "square"
-    invariant = True
 
     def apply(self, pixels: np.ndarray) -> np.ndarray:
         x = _as_pixels(pixels)
@@ -154,7 +152,6 @@ class NeighborProduct:
     """
 
     name = "neighbor"
-    invariant = True
 
     def apply(self, pixels: np.ndarray) -> np.ndarray:
         x = _as_pixels(pixels)
@@ -176,7 +173,6 @@ class PermutationProduct:
     seed: int
 
     name = "perm"
-    invariant = True
 
     @cached_property
     def perm(self) -> np.ndarray:

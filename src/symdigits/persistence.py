@@ -89,5 +89,6 @@ def load_model(path) -> tuple[Mlp, FeatureMapKind]:
     try:
         with open(path, "r", encoding="ascii") as f:
             return model_from_dict(json.load(f))
-    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError, OverflowError,
+            RecursionError) as exc:
         raise ValueError(f"malformed model file {path}: {type(exc).__name__}: {exc}") from None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 WIDTH, HEIGHT = 640, 360
 MARGIN = 50
+Y_MAX = 1.0
 
 
 def _header(title):
@@ -16,8 +17,9 @@ def _header(title):
     ]
 
 
-def bar_chart(path, labels, values, reference=None, title="", y_max=1.0):
-    """Vertical bars, optionally with reference ticks (e.g. published values)."""
+def bar_chart(path, labels, values, reference, title=""):
+    """Vertical bars on [0, Y_MAX], each with a reference tick (e.g. its
+    published value)."""
     parts = _header(title)
     plot_w, plot_h = WIDTH - 2 * MARGIN, HEIGHT - 2 * MARGIN
     n = len(labels)
@@ -25,7 +27,7 @@ def bar_chart(path, labels, values, reference=None, title="", y_max=1.0):
     bar_w = slot * 0.6
     for i, (label, value) in enumerate(zip(labels, values)):
         x = MARGIN + i * slot + (slot - bar_w) / 2
-        h = plot_h * min(value, y_max) / y_max
+        h = plot_h * min(value, Y_MAX) / Y_MAX
         y = MARGIN + plot_h - h
         parts.append(f'<rect x="{x:.1f}" y="{y:.1f}" width="{bar_w:.1f}" '
                      f'height="{h:.1f}" fill="#4878a8"/>')
@@ -35,10 +37,9 @@ def bar_chart(path, labels, values, reference=None, title="", y_max=1.0):
                      f'text-anchor="middle" font-family="sans-serif" font-size="9" '
                      f'transform="rotate(25 {x + bar_w / 2:.1f} {HEIGHT - MARGIN + 14:.1f})"'
                      f'>{label}</text>')
-        if reference is not None and reference[i] is not None:
-            ry = MARGIN + plot_h * (1 - min(reference[i], y_max) / y_max)
-            parts.append(f'<line x1="{x - 3:.1f}" y1="{ry:.1f}" x2="{x + bar_w + 3:.1f}" '
-                         f'y2="{ry:.1f}" stroke="#c04040" stroke-width="2"/>')
+        ry = MARGIN + plot_h * (1 - min(reference[i], Y_MAX) / Y_MAX)
+        parts.append(f'<line x1="{x - 3:.1f}" y1="{ry:.1f}" x2="{x + bar_w + 3:.1f}" '
+                     f'y2="{ry:.1f}" stroke="#c04040" stroke-width="2"/>')
     parts.append(f'<line x1="{MARGIN}" y1="{MARGIN + plot_h}" x2="{WIDTH - MARGIN}" '
                  f'y2="{MARGIN + plot_h}" stroke="#000000"/>')
     parts.append("</svg>")

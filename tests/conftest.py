@@ -18,8 +18,7 @@ def augmented(corpus):
 @pytest.fixture(scope="session")
 def small_splits(corpus):
     """Quick train/test pair built from a 400-origin slice of the corpus."""
-    head = Dataset(corpus.pixels[:400], corpus.labels[:400], corpus.origin_ids[:400],
-                   name="head400")
+    head = Dataset(corpus.pixels[:400], corpus.labels[:400], corpus.origin_ids[:400])
     return split(augment_shifts(head), test_fraction=0.25, seed=0)
 
 

@@ -239,8 +239,7 @@ def test_criterion_5_degeneracy_probes(trained_nobias):
 
 
 def test_criterion_6_sampled_loss(corpus):
-    subset = Dataset(corpus.pixels[:200], corpus.labels[:200],
-                     corpus.origin_ids[:200], name="subset200")
+    subset = Dataset(corpus.pixels[:200], corpus.labels[:200], corpus.origin_ids[:200])
     mlp = init_mlp((64, 10, 5, 10), False, 11)
     exact = sampled_loss_expectation(mlp, subset, inversion_group(), mu=1.0,
                                      trials=100, seed=0)

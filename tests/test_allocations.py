@@ -135,8 +135,7 @@ def test_eval_shifts_only_the_test_side(corpus, tmp_path, monkeypatch, invert):
 
 
 def test_table_runs_hold_one_seeds_sets_at_a_time(corpus):
-    head = Dataset(corpus.pixels[:400], corpus.labels[:400], corpus.origin_ids[:400],
-                   name="head")
+    head = Dataset(corpus.pixels[:400], corpus.labels[:400], corpus.origin_ids[:400])
 
     def run(seeds):
         return reproduce_tables(head, seeds, config=TrainConfig(epochs=1), tables=("table1",))

@@ -18,7 +18,7 @@ from symdigits.cli import COMMANDS, DEFAULTS, FLAGS, CliError, _resolve, build_p
 from symdigits.digits import bundled_data_path
 from symdigits.features import Identity
 from symdigits.network import init_mlp
-from symdigits.persistence import save_model
+from symdigits.persistence import model_to_dict, save_model
 
 
 @pytest.fixture(scope="module")
@@ -562,6 +562,24 @@ def test_malformed_model_file_exits_one_naming_it(tmp_path, small_csv, command, 
     assert proc.returncode == 1
     assert str(model) in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _model_text_with_weight(weight_text):
+    """A valid model file's text with its first weight written as ``weight_text``."""
+    doc = model_to_dict(init_mlp((64, 10), False, 0), Identity())
+    doc["layers"][0]["weights"][0][0] = "@weight@"
+    return json.dumps(doc).replace('"@weight@"', weight_text)
+
+
+@pytest.mark.parametrize("text", [_model_text_with_weight("1" + "0" * 400), "[" * 100_000],
+                         ids=["int-beyond-float", "nested-100000-deep"])
+def test_unloadable_model_exits_one_and_leaves_no_out(tmp_path, small_csv, capsys, text):
+    model = tmp_path / "model.json"
+    model.write_text(text, encoding="ascii")
+    out = tmp_path / "out"
+    assert main(["eval", "--model", str(model), "--data", small_csv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: malformed model file {model}: ")
+    assert not out.exists()
 
 
 def _csv_row(fields):

@@ -17,9 +17,9 @@ from hypothesis.extra.numpy import arrays
 import symdigits
 from symdigits.degeneracy import dataset_is_inversion_closed
 from symdigits.digits import (AUGMENT_SHIFTS, Dataset, _distinct_sorted, _parse_canonical,
-                              augment_shifts, bundled_data_path, load_optdigits,
-                              pixels_to_gray_levels, shifted_split, shifted_test_side, split,
-                              symmetrize)
+                              augment_shifts, bundled_data_path, invert_dataset,
+                              load_optdigits, pixels_to_gray_levels, shifted_split,
+                              shifted_test_side, split, symmetrize)
 from symdigits.features import Identity, NeighborProduct, PermutationProduct, inversion
 
 from conftest import random_images
@@ -220,14 +220,13 @@ def test_split_of_a_single_origin_leaves_one_side_empty():
 
 
 def assert_same_datasets(got, expected):
-    """Equal bits, dtypes, row order, names and lineage, side by side."""
+    """Equal bits, dtypes and row order, side by side."""
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
         assert a.pixels.tobytes() == b.pixels.tobytes() and a.pixels.shape == b.pixels.shape
         for name in ("labels", "origin_ids"):
             assert getattr(a, name).dtype == getattr(b, name).dtype
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-        assert (a.name, a.lineage) == (b.name, b.lineage)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -238,7 +237,7 @@ def test_shifted_split_is_the_split_of_the_augmented_set(data, n, fraction, seed
     origin_ids = data.draw(arrays(np.int64, n, elements=st.integers(0, n)))
     pixels = data.draw(arrays(np.float64, (n, 64), elements=PIXEL_VALUES))
     labels = data.draw(arrays(np.int64, n, elements=st.integers(0, 9)))
-    ds = Dataset(pixels, labels, origin_ids, name="drawn", lineage=["drawn"])
+    ds = Dataset(pixels, labels, origin_ids)
     try:
         expected = split(augment_shifts(ds), test_fraction=fraction, seed=seed)
     except ValueError as exc:  # one side empty: the same error
@@ -252,7 +251,6 @@ def test_shifted_split_is_the_split_of_the_augmented_set(data, n, fraction, seed
 def test_shifted_split_of_the_corpus(corpus, augmented, seed):
     got = shifted_split(corpus, test_fraction=0.25, seed=seed)
     assert_same_datasets(got, split(augmented, test_fraction=0.25, seed=seed))
-    assert [ds.name for ds in got] == ["optdigits+shifts.train", "optdigits+shifts.test"]
 
 
 @pytest.mark.parametrize("fraction", [0.25, 0.5])
@@ -318,6 +316,16 @@ def test_symmetrize_matches_concatenated_inversion(x):
     assert same_bits(sym.pixels, np.concatenate([x, inversion().apply(x)]))
     assert np.array_equal(sym.labels, np.concatenate([ds.labels, ds.labels]))
     assert np.array_equal(sym.origin_ids, np.concatenate([ds.origin_ids, ds.origin_ids]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=images())
+def test_invert_dataset_matches_inversion(x):
+    ds = Dataset(x, np.arange(len(x)) % 10, np.arange(len(x)))
+    inverted = invert_dataset(ds)
+    assert same_bits(inverted.pixels, inversion().apply(x))
+    assert np.array_equal(inverted.labels, ds.labels)
+    assert np.array_equal(inverted.origin_ids, ds.origin_ids)
 
 
 @settings(max_examples=100, deadline=None)

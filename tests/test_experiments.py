@@ -24,7 +24,7 @@ def balanced_dataset(per_class=7):
     n = 10 * per_class
     pixels = rng.integers(0, 17, size=(n, 64)) / 8.0 - 1.0
     labels = np.repeat(np.arange(10), per_class)
-    return Dataset(pixels, labels, np.arange(n), name="balanced")
+    return Dataset(pixels, labels, np.arange(n))
 
 
 def test_constant_predictor_scores_one_tenth_on_balanced_set():
@@ -167,8 +167,7 @@ def head_tables(corpus):
     """Both tables for seed 1 at 2 epochs on a 300-origin slice: the
     augmented slice and the report.  Seed 1, not 0, so that a row which
     missed the seed would train with the default seed 0 and show."""
-    head = Dataset(corpus.pixels[:300], corpus.labels[:300],
-                   corpus.origin_ids[:300], name="head")
+    head = Dataset(corpus.pixels[:300], corpus.labels[:300], corpus.origin_ids[:300])
     return augment_shifts(head), reproduce_tables(head, seeds=[1], config=TrainConfig(epochs=2))
 
 
@@ -244,8 +243,7 @@ def test_reproduce_tables_caps_worker_processes(monkeypatch, corpus, cpus, jobs,
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    head = Dataset(corpus.pixels[:100], corpus.labels[:100],
-                   corpus.origin_ids[:100], name="head")
+    head = Dataset(corpus.pixels[:100], corpus.labels[:100], corpus.origin_ids[:100])
     kwargs = dict(seeds=[0], config=TrainConfig(epochs=1), tables=("table1",))
     report = reproduce_tables(head, jobs=jobs, **kwargs)
     assert started == ([] if workers is None else [workers])
@@ -255,8 +253,7 @@ def test_reproduce_tables_caps_worker_processes(monkeypatch, corpus, cpus, jobs,
 def test_process_pool_with_unsorted_seeds_matches_serial(corpus):
     # the pool takes the rows of every seed at once, symmetrized rows first;
     # the report keeps the seeds' given order, which cell_mean sums in
-    head = Dataset(corpus.pixels[:100], corpus.labels[:100],
-                   corpus.origin_ids[:100], name="head")
+    head = Dataset(corpus.pixels[:100], corpus.labels[:100], corpus.origin_ids[:100])
     kwargs = dict(seeds=[2, 0], config=TrainConfig(epochs=1))
     pooled = reproduce_tables(head, jobs=2, **kwargs)
     serial = reproduce_tables(head, **kwargs)
@@ -267,8 +264,7 @@ def test_process_pool_with_unsorted_seeds_matches_serial(corpus):
 
 
 def test_reproduce_tables_csv_output(tmp_path, corpus):
-    head = Dataset(corpus.pixels[:200], corpus.labels[:200],
-                   corpus.origin_ids[:200], name="head")
+    head = Dataset(corpus.pixels[:200], corpus.labels[:200], corpus.origin_ids[:200])
     report = reproduce_tables(head, seeds=[0, 1],
                               config=TrainConfig(epochs=1), tables=("table1",))
     path = tmp_path / "results.csv"

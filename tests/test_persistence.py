@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -132,3 +133,72 @@ def test_malformed_model_file_is_a_value_error_naming_it(tmp_path, content):
     path.write_text(content, encoding="utf-8")
     with pytest.raises(ValueError, match="malformed model file .*broken.json"):
         load_model(path)
+
+
+# valid documents to mutate: both bias modes, with and without a permutation
+_VALID_DOCS = [model_to_dict(init_mlp((6, 3, 2), use_bias, 0), kind)
+               for use_bias in (False, True) for kind in (Identity(), PermutationProduct(1))]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=5), children, max_size=4),
+    max_leaves=8)
+# JSON text that no json.dumps of a Python value writes: integers beyond any
+# float, floats that parse as inf, and lists nested past the recursion limit
+_RAW_FRAGMENTS = (st.integers(309, 5000).map(lambda k: "-" * (k % 2) + "1" + "0" * k)
+                  | st.sampled_from(["1e400", "-1e400"])
+                  | st.integers(1, 100_000).map(lambda depth: "[" * depth + "]" * depth))
+_FRAGMENT = "@fragment@"
+
+
+def _key_paths(node, prefix=()):
+    """The path of every value below the root of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_model_files(draw):
+    """The bytes of a valid model file after one mutation."""
+    doc = copy.deepcopy(draw(st.sampled_from(_VALID_DOCS)))
+    *parents, key = draw(st.sampled_from(list(_key_paths(doc))))
+    parent = doc
+    for step in parents:
+        parent = parent[step]
+    how = draw(st.sampled_from(["delete", "value", "raw", "permutation", "byte"]))
+    if how == "delete":
+        del parent[key]
+    elif how == "value":
+        parent[key] = draw(_JSON_VALUES)
+    elif how == "raw":
+        parent[key] = _FRAGMENT
+    elif how == "permutation":
+        length = draw(st.integers(0, 130).filter(lambda n: n != 64))
+        doc["feature_map"]["permutation"] = (list(range(64)) * 3)[:length]
+    text = json.dumps(doc)
+    if how == "raw":
+        text = text.replace(json.dumps(_FRAGMENT), draw(_RAW_FRAGMENTS), 1)
+    data = text.encode("ascii")
+    if how == "byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at:]
+    return data
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=mutated_model_files())
+def test_mutated_model_file_loads_or_is_a_value_error_naming_it(tmp_path, data):
+    path = tmp_path / "mutated.json"
+    path.write_bytes(data)
+    try:
+        load_model(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"malformed model file {path}: ")
