@@ -4,8 +4,8 @@ degeneracy of symmetrized training losses."""
 
 from .digits import (Dataset, augment_shifts, invert_dataset, load_bundled_dataset,
                      load_dataset, render_image, split, symmetrize)
-from .features import (Identity, NeighborProduct, PermutationProduct, PixelAction,
-                       Square, feature_map_from_name, inversion_group, relative_sign)
+from .features import (Identity, NeighborProduct, PermutationProduct, Square,
+                       feature_map_from_name, inversion_group, relative_sign)
 from .network import (Layer, Mlp, TrainConfig, TrainResult, TrainingDiverged,
                       backward, forward, grad_check, init_mlp, softmax, train)
 from .persistence import load_model, save_model

@@ -204,6 +204,15 @@ def _train_config(resolved, **fixed) -> TrainConfig:
         learning_rate=resolved["lr"], momentum=resolved["momentum"], **fixed)
 
 
+def _load_model(path):
+    """``load_model(path)`` of a model that maps the 64 pixels to the 10 classes."""
+    mlp, feature_map = load_model(path)
+    if (mlp.dims[0], mlp.dims[-1]) != (N_PIXELS, N_CLASSES):
+        raise CliError(f"model file {path} maps {mlp.dims[0]} inputs to {mlp.dims[-1]} "
+                       f"outputs; need {N_PIXELS} pixels to {N_CLASSES} classes")
+    return mlp, feature_map
+
+
 # ---------------------------------------------------------------------------
 # data
 # ---------------------------------------------------------------------------
@@ -248,13 +257,10 @@ def cmd_train(args, resolved, out):
 def cmd_eval(args, resolved, out):
     if not args.model:
         raise CliError("eval requires --model")
-    mlp, feature_map = load_model(args.model)
+    mlp, feature_map = _load_model(args.model)
     test_ds = _load_split(resolved, shifted_test_side)
     if resolved["invert"]:
         test_ds = invert_dataset(test_ds)
-    if mlp.layers[0].fan_in != test_ds.pixels.shape[1]:
-        raise CliError(
-            f"model input dimension {mlp.layers[0].fan_in} does not match data")
     report = evaluate(mlp, feature_map, test_ds,
                       model_id=Path(args.model).stem,
                       train_set_name="(loaded model)", n_train=0)
@@ -350,7 +356,7 @@ def cmd_reproduce(args, resolved, out):
 def _probe_weight_flip(args, resolved, out):
     shifted = augment_shifts(load_dataset(_data_path(resolved)))
     if args.model:
-        mlp, feature_map = load_model(args.model)
+        mlp, feature_map = _load_model(args.model)
         if mlp.use_bias or not isinstance(feature_map, Identity):
             raise CliError("weight-flip probe needs a bias-free identity-feature model")
     else:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digits import Dataset
-from .features import PixelAction
 from .network import Mlp, total_loss, sample_loss
 
 MACHINE_EPS = float(np.finfo(np.float64).eps)
@@ -91,14 +90,15 @@ class SampledLossReport:
     trial_max: float
 
 
-def sampled_loss_expectation(mlp: Mlp, ds: Dataset, group: list[PixelAction],
-                             mu: float, trials: int, seed: int = 0) -> SampledLossReport:
+def sampled_loss_expectation(mlp: Mlp, ds: Dataset, group: list, mu: float, trials: int,
+                             seed: int = 0) -> SampledLossReport:
     """Monte Carlo check that random sample inclusion restores symmetry in
     expectation.
 
-    Each (sample, group element) term of the symmetrized loss is kept with
-    independent probability mu; a single draw breaks the symmetry, but the
-    mean over trials converges to mu times the full symmetrized loss.
+    Each group element is a map of (n, 64) pixel arrays.  Each (sample,
+    group element) term of the symmetrized loss is kept with independent
+    probability mu; a single draw breaks the symmetry, but the mean over
+    trials converges to mu times the full symmetrized loss.
     """
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"inclusion probability must be in (0, 1], got {mu}")
@@ -106,10 +106,7 @@ def sampled_loss_expectation(mlp: Mlp, ds: Dataset, group: list[PixelAction],
         raise ValueError(f"trials must be >= 1, got {trials}")
     if len(ds) == 0:
         raise ValueError("cannot sample the loss of an empty dataset")
-    terms = np.concatenate([
-        np.asarray(sample_loss(mlp, g.apply(ds.pixels), ds.labels), dtype=np.float64)
-        for g in group
-    ])
+    terms = np.concatenate([sample_loss(mlp, g(ds.pixels), ds.labels) for g in group])
     omega = float(np.sum(terms))
     # Trials are drawn in blocks of rows: one (rows, terms.size) draw is the
     # same stream as rows single draws, and each row sums pairwise as a 1-D
@@ -171,18 +168,18 @@ def group_angles(n: int) -> np.ndarray:
 
 TOY_RADII = (0.5, 1.0)
 TOY_LABELS = (0.2, 0.8)     # label of the points on each circle
+TOY_BASE_POINTS = 200       # base points, half on each circle, before the rotations
 
 
-def make_toy_task(n: int, n_points: int = 200, seed: int = 0) -> ToyRotationTask:
-    """Points at random angles on two circles, labels by radius, and all
-    their C_n rotations."""
+def make_toy_task(n: int, seed: int = 0) -> ToyRotationTask:
+    """TOY_BASE_POINTS points at random angles on two circles, labels by
+    radius, and all their C_n rotations."""
     if n < 1:
         raise ValueError("group order n must be >= 1")
     rng = np.random.default_rng(seed)
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=n_points)
-    half = n_points // 2
-    radius = np.where(np.arange(n_points) < half, TOY_RADII[0], TOY_RADII[1])
-    labels = np.where(np.arange(n_points) < half, TOY_LABELS[0], TOY_LABELS[1])
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=TOY_BASE_POINTS)
+    radius = np.repeat(TOY_RADII, TOY_BASE_POINTS // 2)
+    labels = np.repeat(TOY_LABELS, TOY_BASE_POINTS // 2)
     base = np.stack([radius * np.cos(angles), radius * np.sin(angles)], axis=1)
     mats = np.stack([rotation_matrix(t) for t in group_angles(n)])  # (n, 2, 2)
     points = np.einsum("kab,mb->kma", mats, base).reshape(-1, 2)
@@ -258,9 +255,8 @@ def train_toy(task: ToyRotationTask) -> np.ndarray:
     that leaves w bitwise unchanged would be repeated exactly by every later
     one: the descent ends there, with the w that all GD_ITERS steps give."""
     w = np.array(TOY_INIT, dtype=np.float64)
-    n_points = len(task.points)
     for _ in range(GD_ITERS):
-        w_next = w - GD_RATE * toy_gradient(task, w) / n_points
+        w_next = w - GD_RATE * toy_gradient(task, w) / len(task.points)
         if _same_bits(w_next, w):
             break
         w = w_next

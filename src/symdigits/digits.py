@@ -15,16 +15,27 @@ import warnings
 
 import numpy as np
 
-from .features import GRID, N_PIXELS, SHIFT_FILL, shift
+from .features import GRID, N_PIXELS
 from .network import N_CLASSES, as_integers
 
 RAW_MAX = 16
+SHIFT_FILL = -1.0  # scaled white background
 
-# order matters: original, right, left, down, up
-AUGMENT_SHIFTS = [shift(0, 0), shift(1, 0), shift(-1, 0), shift(0, 1), shift(0, -1)]
+
+def _shift_index(dx: int, dy: int) -> np.ndarray:
+    """The source pixel of each output pixel of the grid translated by
+    (dx, dy), or -1 where the cell is vacated; dx moves right, dy down."""
+    rows, cols = np.divmod(np.arange(N_PIXELS), GRID)
+    src_rows, src_cols = rows - dy, cols - dx
+    inside = (src_rows >= 0) & (src_rows < GRID) & (src_cols >= 0) & (src_cols < GRID)
+    return np.where(inside, src_rows * GRID + src_cols, -1)
+
+
+# (dx, dy) of each copy, in order: original, right, left, down, up
+AUGMENT_SHIFTS = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
 # the five shifts as one gather: an image's 5*64 output pixels in order, and
-# the vacated ones among them (shifts are unsigned, so no sign to apply)
-_AUGMENT_INDEX = np.concatenate([s.index for s in AUGMENT_SHIFTS])
+# the vacated ones among them, which get the SHIFT_FILL background
+_AUGMENT_INDEX = np.concatenate([_shift_index(dx, dy) for dx, dy in AUGMENT_SHIFTS])
 _AUGMENT_VACATED = np.flatnonzero(_AUGMENT_INDEX == -1)
 # a CSV field, once stripped: a sign and ASCII digits, not int()'s "1_0"
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -161,8 +172,8 @@ def augment_shifts(ds: Dataset) -> Dataset:
 def symmetrize(ds: Dataset) -> Dataset:
     """Append the grayscale-inverted copy of every image (same labels).
 
-    Both halves are written into one array; the negation is bit-equal to
-    ``inversion().apply``, since x * -1 is exactly -x, signed zeros included.
+    Both halves are written into one array; the negation is exact, signed
+    zeros included.
     """
     n = len(ds)
     pixels = np.empty((2 * n, N_PIXELS))
@@ -173,8 +184,8 @@ def symmetrize(ds: Dataset) -> Dataset:
 
 
 def invert_dataset(ds: Dataset) -> Dataset:
-    """The inverted copy -X of a dataset (labels unchanged); bit-equal to
-    ``inversion().apply``, as in ``symmetrize``."""
+    """The inverted copy -X of a dataset (labels unchanged), exact as in
+    ``symmetrize``."""
     return Dataset(np.negative(ds.pixels), ds.labels, ds.origin_ids)
 
 

@@ -46,7 +46,6 @@ class BoundCheckReport:
     R_bar: float
     bound_sum: float
     holds: bool
-    n_samples: int
     n_unique_min: int
     n_argmin_violations: int
 
@@ -67,18 +66,20 @@ def bound_check(mlp: Mlp, feature_map: FeatureMapKind, test: Dataset) -> BoundCh
         raise ValueError("bound_check requires a bias-free model")
     if not isinstance(feature_map, Identity):
         raise ValueError("bound_check requires identity features")
-    R, _ = accuracy(mlp, feature_map, test)
-    R_bar, _ = accuracy(mlp, feature_map, invert_dataset(test))
+    if len(test) == 0:
+        raise ValueError("cannot evaluate on an empty dataset")
     logits = forward(mlp, test.pixels)
     preds_inverted = predict(mlp, -test.pixels)
+    # correct/total: the same double as accuracy's trace/total
+    R = np.count_nonzero(np.argmax(logits, axis=1) == test.labels) / len(test)
+    R_bar = np.count_nonzero(preds_inverted == test.labels) / len(test)
     argmins = np.argmin(logits, axis=1)
     unique = (logits == logits.min(axis=1, keepdims=True)).sum(axis=1) == 1
     violations = int(np.sum(preds_inverted[unique] != argmins[unique]))
     total = R + R_bar
     return BoundCheckReport(
         R=R, R_bar=R_bar, bound_sum=total, holds=bool(total <= 1.0),
-        n_samples=len(test), n_unique_min=int(unique.sum()),
-        n_argmin_violations=violations)
+        n_unique_min=int(unique.sum()), n_argmin_violations=violations)
 
 
 @dataclass

@@ -1,12 +1,10 @@
-"""Pixel-space group actions and inversion-invariant feature maps.
+"""The grayscale inversion group and inversion-invariant feature maps.
 
 Grayscale inversion flips the sign of every pixel.  A feature map that is
 even in the pixels (products of pairs) is exactly invariant under that
 flip, which is what the Square, NeighborProduct and PermutationProduct
-maps provide.  Every group element is one signed pixel map, PixelAction:
-inversion, the single-pixel shifts (used for data augmentation), and the
-quarter-turn rotations (``rotation90(0)`` is the identity of the inversion
-group).
+maps provide.  A group element is any map of (..., 64) pixel arrays;
+``inversion_group`` gives the two of the inversion group.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import numpy as np
 
 GRID = 8
 N_PIXELS = GRID * GRID
-SHIFT_FILL = -1.0  # scaled white background
 
 
 def _as_pixels(pixels) -> np.ndarray:
@@ -30,80 +27,9 @@ def _as_pixels(pixels) -> np.ndarray:
     return pixels
 
 
-# ---------------------------------------------------------------------------
-# group elements
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PixelAction:
-    """A signed pixel map: out[..., i] = sign[i] * x[..., index[i]], or the
-    SHIFT_FILL background where index[i] == -1.
-
-    Every group element used here is one: inversion, the 1-pixel shifts
-    and quarter turns.  Build them with ``inversion``, ``shift`` and
-    ``rotation90``.
-    """
-
-    index: tuple
-    sign: tuple
-
-    def __post_init__(self):
-        if len(self.index) != N_PIXELS or len(self.sign) != N_PIXELS \
-                or not set(self.index) <= set(range(-1, N_PIXELS)) \
-                or not set(self.sign) <= {-1, 1}:
-            raise ValueError(f"need {N_PIXELS} indices in -1..63 and {N_PIXELS} signs of +-1")
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        index = np.asarray(self.index, dtype=np.int64)
-        return index, np.asarray(self.sign, dtype=np.float64), index == -1
-
-    def apply(self, pixels: np.ndarray) -> np.ndarray:
-        index, sign, vacated = self._arrays
-        out = np.take(_as_pixels(pixels), index, axis=-1)
-        out *= sign
-        out[..., vacated] = SHIFT_FILL
-        return out
-
-
-def _unsigned(index) -> PixelAction:
-    index = np.asarray(index, dtype=np.int64).reshape(N_PIXELS)
-    return PixelAction(tuple(index.tolist()), (1,) * N_PIXELS)
-
-
-def inversion() -> PixelAction:
-    """x -> -x on every pixel; its own inverse."""
-    return PixelAction(tuple(range(N_PIXELS)), (-1,) * N_PIXELS)
-
-
-def shift(dx: int, dy: int) -> PixelAction:
-    """Translate the 8x8 grid by (dx, dy); vacated cells get the -1 background.
-
-    dx moves content toward higher column index (right), dy toward higher
-    row index (down).  Only single-pixel shifts are allowed.
-    """
-    if abs(dx) > 1 or abs(dy) > 1:
-        raise ValueError(f"shift magnitudes must be <= 1 pixel, got ({dx}, {dy})")
-    rows, cols = np.divmod(np.arange(N_PIXELS), GRID)
-    src_rows, src_cols = rows - dy, cols - dx
-    inside = (src_rows >= 0) & (src_rows < GRID) & (src_cols >= 0) & (src_cols < GRID)
-    return _unsigned(np.where(inside, src_rows * GRID + src_cols, -1))
-
-
-def rotation90(k: int) -> PixelAction:
-    """Rotate the grid by k counterclockwise quarter turns."""
-    if k not in (0, 1, 2, 3):
-        raise ValueError(f"k must be in 0..3, got {k}")
-    return _unsigned(np.rot90(np.arange(N_PIXELS).reshape(GRID, GRID), k=k))
-
-
-IDENTITY = rotation90(0)
-
-
 def inversion_group() -> list:
-    """The two-element grayscale inversion group {e, -1}."""
-    return [IDENTITY, inversion()]
+    """The grayscale inversion group {e, -1} as pixel maps: x -> +x, x -> -x."""
+    return [np.positive, np.negative]
 
 
 # ---------------------------------------------------------------------------

@@ -33,3 +33,13 @@ def random_images(count, seed=0, zero_free=False):
     if zero_free:
         raw[raw == 8] = 9
     return raw / 8.0 - 1.0
+
+
+def grid_translation(x, dx, dy):
+    """(n, 64) images with each 8x8 grid moved dx columns right and dy rows
+    down by slicing, vacated cells -1: the reference for the shift tables."""
+    grids = x.reshape(-1, 8, 8)
+    want = np.full_like(grids, -1.0)
+    want[:, max(dy, 0):8 + min(dy, 0), max(dx, 0):8 + min(dx, 0)] = \
+        grids[:, max(-dy, 0):8 + min(-dy, 0), max(-dx, 0):8 + min(-dx, 0)]
+    return want.reshape(-1, 64)

@@ -564,6 +564,22 @@ def test_malformed_model_file_exits_one_naming_it(tmp_path, small_csv, command, 
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("dims", [(64, 10, 1), (64, 10, 5), (64, 10, 12), (36, 10, 10)],
+                         ids=["1-output", "5-output", "12-output", "36-input"])
+@pytest.mark.parametrize("command", [["eval"], ["probe", "weight-flip"]],
+                         ids=["eval", "weight-flip"])
+def test_model_not_of_64_pixels_to_10_classes_exits_one_naming_it(tmp_path, small_csv, capsys,
+                                                                 command, dims):
+    model = tmp_path / "model.json"
+    save_model(model, init_mlp(dims, False, 3), Identity())
+    out = tmp_path / "out"
+    assert main([*command, "--model", str(model), "--data", small_csv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: model file {model} maps {dims[0]} inputs to {dims[-1]} outputs; "
+        "need 64 pixels to 10 classes\n")
+    assert not out.exists()
+
+
 def _model_text_with_weight(weight_text):
     """A valid model file's text with its first weight written as ``weight_text``."""
     doc = model_to_dict(init_mlp((64, 10), False, 0), Identity())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import symdigits.degeneracy as degeneracy
-from symdigits.degeneracy import (ROTATION_GENERATOR, SampledLossReport,
+from symdigits.degeneracy import (ROTATION_GENERATOR, TOY_BASE_POINTS, SampledLossReport,
                                   dataset_is_inversion_closed,
                                   generator_curvature, generator_curvature_sweep,
                                   make_toy_task, orbit_loss_scan, rotation_matrix,
@@ -12,12 +12,18 @@ from symdigits.degeneracy import (ROTATION_GENERATOR, SampledLossReport,
                                   toy_gradient, toy_hessian, toy_loss, train_toy,
                                   weight_flip_deviation, weight_orbit_invariance)
 from symdigits.digits import Dataset, symmetrize
-from symdigits.features import NeighborProduct, Square, inversion_group, rotation90
+from symdigits.features import NeighborProduct, Square, inversion_group
 from symdigits.network import init_mlp, sample_loss, train, TrainConfig
 
 from conftest import random_images
 
-ROTATION_GROUP = [rotation90(k) for k in range(4)]  # the quarter turns, C4
+
+def _quarter_turns(k):
+    """Rotate each (n, 64) image's grid by k counterclockwise quarter turns."""
+    return lambda x: np.rot90(x.reshape(-1, 8, 8), k, axes=(1, 2)).reshape(-1, 64)
+
+
+ROTATION_GROUP = [_quarter_turns(k) for k in range(4)]  # C4, as maps of pixel arrays
 
 
 def image_dataset(n=120, seed=0):
@@ -117,7 +123,7 @@ def test_sampled_loss_works_with_rotation_group():
 
 def reference_sampled_loss(mlp, ds, group, mu, trials, seed=0):
     """One draw and one sum per trial: the plain form of the estimator."""
-    terms = np.concatenate([sample_loss(mlp, g.apply(ds.pixels), ds.labels)
+    terms = np.concatenate([sample_loss(mlp, g(ds.pixels), ds.labels)
                             for g in group])
     omega = float(np.sum(terms))
     rng = np.random.default_rng(seed)
@@ -169,13 +175,13 @@ def test_sampled_loss_validation():
 
 
 def test_toy_task_labels_are_radius_functions():
-    task = make_toy_task(8, n_points=50)
+    task = make_toy_task(8)
     radii = np.linalg.norm(task.points, axis=1)
     labels = task.labels
     for r, y in ((0.5, 0.2), (1.0, 0.8)):
         mask = np.isclose(radii, r)
         assert np.all(labels[mask] == y)
-    assert len(task.points) == 50 * 8
+    assert len(task.points) == TOY_BASE_POINTS * 8
 
 
 def reference_toy_loss(task, w):
@@ -227,7 +233,7 @@ def test_toy_work_vectors_leak_no_state():
 
 
 def test_toy_gradient_matches_finite_differences():
-    task = make_toy_task(4, n_points=30)
+    task = make_toy_task(4)
     w = np.array([0.7, -0.4])
     g = toy_gradient(task, w)
     for k in range(2):
@@ -238,7 +244,7 @@ def test_toy_gradient_matches_finite_differences():
 
 
 def test_toy_hessian_matches_finite_differences():
-    task = make_toy_task(4, n_points=30)
+    task = make_toy_task(4)
     w = np.array([0.9, 0.2])
     H = toy_hessian(task, w)
     for k in range(2):

@@ -96,6 +96,11 @@ def test_bound_check_rejects_bias_or_invariant_features():
         bound_check(init_mlp((64, 10, 5, 10), False, 0), Square(), ds)
 
 
+def test_bound_check_rejects_empty_dataset():
+    with pytest.raises(ValueError, match="empty"):
+        bound_check(zero_model(), Identity(), Dataset(np.zeros((0, 64)), [], []))
+
+
 def test_evaluate_report_self_consistency():
     ds = balanced_dataset()
     mlp = init_mlp((64, 10, 5, 10), False, 2)

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from symdigits.features import (IDENTITY, Identity, NeighborProduct, PermutationProduct,
-                                PixelAction, Square, feature_map_from_name, inversion,
-                                inversion_group, make_permutation, relative_sign,
-                                rotation90, shift)
+from symdigits.digits import Dataset, _shift_index, augment_shifts
+from symdigits.features import (Identity, NeighborProduct, PermutationProduct, Square,
+                                feature_map_from_name, inversion_group, make_permutation,
+                                relative_sign)
 
-from conftest import random_images
+from conftest import grid_translation, random_images
 
 # frozen on first generation; no external truth exists for this value
 GOLDEN_PERM_SEED0 = [16, 36, 27, 8, 44, 23, 53, 4, 58, 50, 10, 2, 42, 34, 19, 47,
@@ -23,103 +23,69 @@ GOLDEN_PERM_SEED0 = [16, 36, 27, 8, 44, 23, 53, 4, 58, 50, 10, 2, 42, 34, 19, 47
 # ---------------------------------------------------------------------------
 
 
+def shifted(x, dx, dy):
+    """x moved by (dx, dy) through digits' shift table, vacated cells -1."""
+    index = _shift_index(dx, dy)
+    out = x[..., index]
+    out[..., index == -1] = -1.0
+    return out
+
+
 def test_inversion_is_involution():
     x = random_images(50, seed=1)
-    twice = inversion().apply(inversion().apply(x))
-    assert np.array_equal(twice, x)
+    _, inv = inversion_group()
+    assert np.array_equal(inv(inv(x)), x)
 
 
 def test_shift_right_fills_left_column():
     x = random_images(1, seed=3)[0].reshape(8, 8)
     x[:, 0] = -1.0
-    shifted = shift(1, 0).apply(x.reshape(64)).reshape(8, 8)
-    assert np.all(shifted[:, 0] == -1.0)
-    assert np.array_equal(shifted[:, 1:], x[:, :-1])
+    out = shifted(x.reshape(64), 1, 0).reshape(8, 8)
+    assert np.all(out[:, 0] == -1.0)
+    assert np.array_equal(out[:, 1:], x[:, :-1])
 
 
 def test_shift_round_trip_leaves_filled_strip():
     x = random_images(1, seed=4)[0]
-    back = shift(-1, 0).apply(shift(1, 0).apply(x)).reshape(8, 8)
+    back = shifted(shifted(x, 1, 0), -1, 0).reshape(8, 8)
     orig = x.reshape(8, 8)
     assert np.array_equal(back[:, :-1], orig[:, :-1])
     assert np.all(back[:, -1] == -1.0)
 
 
-def test_shift_magnitude_limited():
-    with pytest.raises(ValueError):
-        shift(2, 0)
-
-
-def test_rotation_group_law():
-    x = random_images(5, seed=5)
-    once_twice = rotation90(1).apply(rotation90(1).apply(x))
-    assert np.array_equal(rotation90(2).apply(x), once_twice)
-
-
-def test_rotation_k_range():
-    with pytest.raises(ValueError):
-        rotation90(4)
-
-
 @pytest.mark.parametrize("dx", [-1, 0, 1])
 @pytest.mark.parametrize("dy", [-1, 0, 1])
 def test_shift_matches_grid_translation(dx, dy):
-    x = random_images(6, seed=7).reshape(6, 8, 8)
-    want = np.full_like(x, -1.0)
-    want[:, max(dy, 0):8 + min(dy, 0), max(dx, 0):8 + min(dx, 0)] = \
-        x[:, max(-dy, 0):8 + min(-dy, 0), max(-dx, 0):8 + min(-dx, 0)]
-    assert np.array_equal(shift(dx, dy).apply(x.reshape(6, 64)), want.reshape(6, 64))
-
-
-@pytest.mark.parametrize("k", range(4))
-def test_rotation_matches_rot90(k):
-    x = random_images(6, seed=8)
-    want = np.rot90(x.reshape(6, 8, 8), k=k, axes=(1, 2)).reshape(6, 64)
-    assert np.array_equal(rotation90(k).apply(x), want)
+    x = random_images(6, seed=7)
+    assert np.array_equal(shifted(x, dx, dy), grid_translation(x, dx, dy))
 
 
 def test_inversion_is_negation_including_signed_zeros():
     x = random_images(3, seed=9)
     x[0, :4] = [0.0, -0.0, 1.0, -1.0]
-    out = inversion().apply(x)
+    out = inversion_group()[1](x)
     assert np.array_equal(out, -x) and np.array_equal(np.signbit(out), np.signbit(-x))
-
-
-def test_pixel_actions_are_values():
-    assert shift(1, 0) == shift(1, 0) != shift(0, 1)
-    assert len({rotation90(0), IDENTITY, rotation90(1)}) == 2
-    assert isinstance(inversion(), PixelAction)
-
-
-@pytest.mark.parametrize("index, sign", [
-    (tuple(range(63)), (1,) * 63),
-    ((64,) + tuple(range(1, 64)), (1,) * 64),
-    (tuple(range(64)), (2,) + (1,) * 63),
-], ids=["short", "index-out-of-range", "bad-sign"])
-def test_pixel_action_rejects_malformed_maps(index, sign):
-    with pytest.raises(ValueError):
-        PixelAction(index, sign)
 
 
 def test_pixel_action_leaves_its_input_alone():
     x = random_images(2, seed=10)
     before = x.copy()
-    out = shift(0, 1).apply(x)
-    out[:] = 0.0
+    out = augment_shifts(Dataset(x, [0, 1], [0, 1]))
+    out.pixels[:] = 0.0
     assert np.array_equal(x, before)
 
 
 def test_group_closure():
-    # the inversion group {e, -1} and the quarter turns C4 compose within
-    # themselves, bit for bit
+    # the inversion group {e, -1} composes within itself, bit for bit:
+    # e e = e, e (-1) = (-1) e = -1, (-1)(-1) = e
     x = random_images(5, seed=11)
-    e, inv = inversion_group()
-    assert np.array_equal(e.apply(x), x)
-    assert np.array_equal(inv.apply(inv.apply(x)), x)
-    for j in range(4):
-        for k in range(4):
-            assert np.array_equal(rotation90(j).apply(rotation90(k).apply(x)),
-                                  rotation90((j + k) % 4).apply(x))
+    x[0, :2] = [0.0, -0.0]
+    group = inversion_group()
+    for i, a in enumerate(group):
+        for j, b in enumerate(group):
+            want = group[i ^ j](x)
+            assert np.array_equal(a(b(x)), want)
+            assert np.array_equal(np.signbit(a(b(x))), np.signbit(want))
 
 
 # ---------------------------------------------------------------------------
@@ -253,4 +219,4 @@ def test_fixed_point_count_reported():
 
 def test_identity_element_is_noop():
     x = random_images(3, seed=12)
-    assert np.array_equal(IDENTITY.apply(x), x)
+    assert np.array_equal(inversion_group()[0](x), x)

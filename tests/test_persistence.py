@@ -172,7 +172,7 @@ def mutated_model_files(draw):
     parent = doc
     for step in parents:
         parent = parent[step]
-    how = draw(st.sampled_from(["delete", "value", "raw", "permutation", "byte"]))
+    how = draw(st.sampled_from(["delete", "value", "raw", "permutation", "byte", "outputs"]))
     if how == "delete":
         del parent[key]
     elif how == "value":
@@ -182,6 +182,13 @@ def mutated_model_files(draw):
     elif how == "permutation":
         length = draw(st.integers(0, 130).filter(lambda n: n != 64))
         doc["feature_map"]["permutation"] = (list(range(64)) * 3)[:length]
+    elif how == "outputs":  # the last layer's shape, with or without the stored dims
+        width = draw(st.integers(0, 12).filter(lambda n: n != 2))
+        last = doc["layers"][-1]
+        last["weights"] = [[0.5] * 3] * width
+        last["bias"] = None if last["bias"] is None else [0.0] * width
+        if draw(st.booleans()):
+            doc["dims"][-1] = width
     text = json.dumps(doc)
     if how == "raw":
         text = text.replace(json.dumps(_FRAGMENT), draw(_RAW_FRAGMENTS), 1)
