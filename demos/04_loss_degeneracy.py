@@ -59,7 +59,7 @@ print("finer groups, flatter valley: the discrete angular stiffness dies")
 print("exponentially, leaving only the radial (symmetry-transverse) curvature.")
 
 # --- 3. random sampling restores symmetry in expectation ------------------
-subset = Dataset(ds.pixels[:200], ds.labels[:200], ds.origin_ids[:200])
+subset = Dataset(ds.pixels[:200], ds.labels[:200])
 mlp = init_mlp((64, 10, 5, 10), use_bias=False, seed_or_rng=1)
 one = sampled_loss_expectation(mlp, subset, inversion_group(), mu=0.5, trials=1)
 many = sampled_loss_expectation(mlp, subset, inversion_group(), mu=0.5, trials=10000)

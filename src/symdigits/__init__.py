@@ -3,7 +3,7 @@ for 8x8 digit classification, with probes of the symmetry-induced
 degeneracy of symmetrized training losses."""
 
 from .digits import (Dataset, augment_shifts, invert_dataset, load_bundled_dataset,
-                     load_dataset, render_image, split, symmetrize)
+                     load_dataset, render_image, symmetrize)
 from .features import (Identity, NeighborProduct, PermutationProduct, Square,
                        feature_map_from_name, inversion_group, relative_sign)
 from .network import (Layer, Mlp, TrainConfig, TrainResult, TrainingDiverged,

@@ -74,6 +74,7 @@ def _trials_fault(trials, resolved):
 
 _NON_NEGATIVE = _must(lambda v: v >= 0, "a non-negative integer")
 _POSITIVE = _must(lambda v: v >= 1, ">= 1")
+_PATH = _must(lambda v: v != "", "a non-empty path")
 _FEATURES = ", ".join(FEATURE_NAMES)
 
 # key -> (default, help, legal test or None).  The key's flag is --key with
@@ -82,8 +83,8 @@ _FEATURES = ", ".join(FEATURE_NAMES)
 # The library checks these values too; _resolve checks them first, from a
 # flag or a config file alike, so that the message names the flag.
 FLAGS = {
-    "data": (None, "optdigits CSV (default: the bundled corpus)", None),
-    "out": ("out", "output directory", None),
+    "data": (None, "optdigits CSV (default: the bundled corpus)", _PATH),
+    "out": ("out", "output directory", _PATH),
     "seed": (0, "seed of the split, the initial weights and the shuffles", _NON_NEGATIVE),
     "seeds": ("0,1,2,3,4", "comma-separated seeds, one per table run", _seeds_fault),
     "bias": (False, "fit biases; --no-bias fits none", None),
@@ -101,7 +102,8 @@ FLAGS = {
     "mu": (0.5, "inclusion probability", _must(lambda v: 0 < v <= 1, "in (0, 1]")),
     "trials": (10000, "Monte Carlo trials", _trials_fault),  # after mu, which it reads
     "samples": (200, "dataset subset size, at most the corpus size", None),
-    "test_fraction": (0.25, "held-out origin fraction", _must(lambda v: 0 < v < 1, "in (0, 1)")),
+    "test_fraction": (0.25, "held-out fraction of the images",
+                      _must(lambda v: 0 < v < 1, "in (0, 1)")),
 }
 DEFAULTS = {key: default for key, (default, _, _) in FLAGS.items()}
 # the bool keys that also have a --no- flag, to override a config file
@@ -131,8 +133,8 @@ _PARSERS = {bool: lambda value: _BOOL_WORDS[value.lower()], int: _ascii_number(i
 
 
 def _parse_config_file(path, keys) -> dict:
-    """Flat key=value lines; '#' starts a comment; every key is in ``keys``."""
-    values = {}
+    """Flat key=value lines; '#' starts a comment; each key is in ``keys``, set once."""
+    values, lines = {}, {}
     try:
         text = Path(path).read_text(encoding="ascii")
     except OSError as exc:
@@ -149,6 +151,8 @@ def _parse_config_file(path, keys) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in keys:
             raise CliError(f"{path}: line {lineno}: unknown key {key!r}")
+        if lines.setdefault(key, lineno) != lineno:
+            raise CliError(f"{path}: line {lineno}: key {key!r} repeats line {lines[key]}")
         try:
             values[key] = _PARSERS.get(type(DEFAULTS[key]), str)(value)
         except (KeyError, ValueError):
@@ -419,7 +423,7 @@ def _probe_sampled_loss(args, resolved, out):
     samples = resolved["samples"]
     if not 1 <= samples <= len(ds):
         raise CliError(f"--samples must be in 1..{len(ds)}, got {samples}")
-    head = Dataset(ds.pixels[:samples], ds.labels[:samples], ds.origin_ids[:samples])
+    head = Dataset(ds.pixels[:samples], ds.labels[:samples])
     mlp = init_mlp(PAPER_DIMS, use_bias=False, seed_or_rng=resolved["seed"])
     report = sampled_loss_expectation(mlp, head, inversion_group(),
                                       mu=resolved["mu"], trials=resolved["trials"],

@@ -47,24 +47,19 @@ def _in_unit_range(pixels: np.ndarray) -> bool:
 
 
 class Dataset:
-    """An ordered collection of 8x8 images, stored as arrays: one row of 64
-    scaled pixels in [-1, 1] per image, its digit label, and the index of
-    the source image it was derived from (augmented copies share their
-    origin_id).
-    """
+    """An ordered collection of 8x8 images: (n, 64) pixels scaled to [-1, 1],
+    one row per image, and their (n,) digit labels."""
 
-    def __init__(self, pixels, labels, origin_ids):
-        self.pixels = np.asarray(pixels, dtype=np.float64).reshape(-1, N_PIXELS)
-        self.labels = as_integers(labels, "labels").reshape(-1)
-        self.origin_ids = as_integers(origin_ids, "origin_ids").reshape(-1)
-        if not (len(self.pixels) == len(self.labels) == len(self.origin_ids)):
-            raise ValueError("pixels, labels and origin_ids must have equal length")
+    def __init__(self, pixels, labels):
+        self.pixels = np.asarray(pixels, dtype=np.float64)
+        self.labels = as_integers(labels, "labels")
+        if self.pixels.shape[1:] != (N_PIXELS,) or self.labels.shape != self.pixels.shape[:1]:
+            raise ValueError(f"pixels must have shape (n, {N_PIXELS}) and labels (n,), "
+                             f"got {self.pixels.shape} and {self.labels.shape}")
         if not _in_unit_range(self.pixels):
             raise ValueError("pixels must lie in [-1, 1]")
         if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) >= N_CLASSES:
             raise ValueError("labels must be in 0..9")
-        if self.origin_ids.min(initial=0) < 0:
-            raise ValueError("origin_ids must be non-negative")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -144,10 +139,9 @@ def _parse_lines(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_dataset(path) -> Dataset:
-    """Read an optdigits CSV, scale its pixels and number the images in file
-    order (their origin_ids)."""
+    """Read an optdigits CSV and scale its pixels; the images keep file order."""
     raw, labels = load_optdigits(path)
-    return Dataset(scale_to_unit(raw), labels, np.arange(len(raw)))
+    return Dataset(scale_to_unit(raw), labels)
 
 
 def bundled_data_path():
@@ -161,12 +155,12 @@ def load_bundled_dataset() -> Dataset:
 
 def augment_shifts(ds: Dataset) -> Dataset:
     """Enlarge by a factor of 5: each image plus its four 1-pixel shifts
-    (right, left, down, up), background filled with -1.  Copies keep the
-    origin_id of their source image."""
+    (right, left, down, up), background filled with -1.  An image's five
+    copies are consecutive rows, in its place."""
     shifted = np.take(ds.pixels, _AUGMENT_INDEX, axis=1)  # (n, 5 * 64)
     shifted[:, _AUGMENT_VACATED] = SHIFT_FILL
     pixels = shifted.reshape(5 * len(ds), N_PIXELS)
-    return Dataset(pixels, np.repeat(ds.labels, 5), np.repeat(ds.origin_ids, 5))
+    return Dataset(pixels, np.repeat(ds.labels, 5))
 
 
 def symmetrize(ds: Dataset) -> Dataset:
@@ -179,56 +173,39 @@ def symmetrize(ds: Dataset) -> Dataset:
     pixels = np.empty((2 * n, N_PIXELS))
     pixels[:n] = ds.pixels
     np.negative(ds.pixels, out=pixels[n:])
-    return Dataset(pixels, np.concatenate([ds.labels, ds.labels]),
-                   np.concatenate([ds.origin_ids, ds.origin_ids]))
+    return Dataset(pixels, np.concatenate([ds.labels, ds.labels]))
 
 
 def invert_dataset(ds: Dataset) -> Dataset:
     """The inverted copy -X of a dataset (labels unchanged), exact as in
     ``symmetrize``."""
-    return Dataset(np.negative(ds.pixels), ds.labels, ds.origin_ids)
-
-
-def _distinct_sorted(values: np.ndarray) -> np.ndarray:
-    """np.unique(values) for a 1-D array, without np.unique's import of numpy.ma."""
-    values = np.sort(values)
-    first = np.empty(len(values), dtype=bool)
-    first[:1] = True
-    np.not_equal(values[1:], values[:-1], out=first[1:])
-    return values[first]
+    return Dataset(np.negative(ds.pixels), ds.labels)
 
 
 def split(ds: Dataset, test_fraction: float = 0.25, seed: int = 0) -> tuple[Dataset, Dataset]:
-    """Deterministic train/test split on origin_id groups.
+    """Deterministic train/test split of the rows, each side in row order:
+    the test side gets the floor(test_fraction * n) rows the seed picks.
 
-    All augmented copies of one source image land on the same side, so
-    shifted copies never leak across the split.  The test side receives
-    floor(test_fraction * n_origins) origin groups.
+    A row split of shifted data puts copies of one image on both sides;
+    ``shifted_split`` splits the images before it shifts them.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    origins = _distinct_sorted(ds.origin_ids)
-    n_test = int(np.floor(test_fraction * len(origins)))
-    if n_test == 0 or n_test == len(origins):
+    n_test = int(np.floor(test_fraction * len(ds)))
+    if n_test == 0 or n_test == len(ds):
         raise ValueError("split would leave one side empty")
-    perm = np.random.default_rng(seed).permutation(origins)
-    test_origins = np.sort(perm[:n_test])
-    is_test = np.isin(ds.origin_ids, test_origins)
-    return (Dataset(ds.pixels[~is_test], ds.labels[~is_test], ds.origin_ids[~is_test]),
-            Dataset(ds.pixels[is_test], ds.labels[is_test], ds.origin_ids[is_test]))
+    is_test = np.zeros(len(ds), dtype=bool)
+    is_test[np.random.default_rng(seed).permutation(len(ds))[:n_test]] = True
+    return (Dataset(ds.pixels[~is_test], ds.labels[~is_test]),
+            Dataset(ds.pixels[is_test], ds.labels[is_test]))
 
 
 def shifted_split(ds: Dataset, test_fraction: float = 0.25,
                   seed: int = 0) -> tuple[Dataset, Dataset]:
-    """``split(augment_shifts(ds), test_fraction, seed)``, without the whole
-    augmented corpus: the origin groups are split first, then each side is
-    shifted.
-
-    Shifting keeps origin_ids and puts an image's five copies where the image
-    was, so both forms give the same origin groups and the same rows in the
-    same order.  The peak is the two results plus the unshifted sides, not
-    twice the results.
-    """
+    """Train and test sets: ``split`` the unshifted images, then shift each
+    side (``augment_shifts``), so that no shifted copy of an image leaks
+    across the split.  The peak is the two results plus the unshifted sides,
+    not the whole augmented corpus."""
     train, test = split(ds, test_fraction, seed)
     return augment_shifts(train), augment_shifts(test)
 

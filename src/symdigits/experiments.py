@@ -267,7 +267,7 @@ def reproduce_tables(corpus: Dataset, seeds, config: TrainConfig | None = None,
     """Train and evaluate every row of the given tables for each seed.
 
     ``corpus`` is the unaugmented set: each row builds its seed's X_train and
-    X_test, the shifted origin-group split (``shifted_split``), and drops
+    X_test, the split of its images shifted (``shifted_split``), and drops
     them when it ends.  The seed controls the split, the parameter init, the
     epoch shuffles, and (for PermutationProduct) the permutation.  Cells are
     graded against their acceptance bands on the across-seed mean.

@@ -119,7 +119,7 @@ def init_mlp(dims, use_bias: bool, seed_or_rng=0) -> Mlp:
 
 
 def as_integers(values, name: str) -> np.ndarray:
-    """Class labels or ids as int64.  A float value must be integral (2.0 is
+    """Class labels as int64.  A float value must be integral (2.0 is
     2) and within int64; a fractional or non-finite one is rejected, never
     truncated.  ``name`` is the quantity the error message names."""
     y = np.asarray(values)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from symdigits import (TrainConfig, augment_shifts, load_bundled_dataset, split)
-from symdigits.digits import Dataset
+from symdigits import TrainConfig, augment_shifts, load_bundled_dataset
+from symdigits.digits import Dataset, shifted_split
 
 
 @pytest.fixture(scope="session")
@@ -17,9 +17,9 @@ def augmented(corpus):
 
 @pytest.fixture(scope="session")
 def small_splits(corpus):
-    """Quick train/test pair built from a 400-origin slice of the corpus."""
-    head = Dataset(corpus.pixels[:400], corpus.labels[:400], corpus.origin_ids[:400])
-    return split(augment_shifts(head), test_fraction=0.25, seed=0)
+    """Quick train/test pair built from a 400-image slice of the corpus."""
+    head = Dataset(corpus.pixels[:400], corpus.labels[:400])
+    return shifted_split(head, test_fraction=0.25, seed=0)
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from symdigits.degeneracy import (generator_curvature, generator_curvature_sweep
                                   make_toy_task, orbit_loss_scan,
                                   sampled_loss_expectation, train_toy,
                                   weight_flip_deviation, weight_orbit_invariance)
-from symdigits.digits import Dataset, augment_shifts, split, symmetrize
+from symdigits.digits import Dataset, augment_shifts, shifted_split, symmetrize
 from symdigits.experiments import TABLE_ROWS, bound_check, reproduce_tables
 from symdigits.features import Identity, inversion_group
 from symdigits.network import TrainConfig, backward, grad_check, init_mlp
@@ -50,12 +50,12 @@ def table2(corpus):
 
 
 @pytest.fixture(scope="module")
-def trained_nobias(table1, augmented):
+def trained_nobias(table1, corpus):
     """Default-config no-bias identity models, one per seed, with their
     train/test splits: table 1's no-bias X_train row, which trains them."""
     row = TABLE_ROWS["table1"].index((False, "identity", "X_train"))
     reports = table1[0].reports
-    return [(reports[("table1", seed, row)].mlp, *split(augmented, 0.25, seed=seed))
+    return [(reports[("table1", seed, row)].mlp, *shifted_split(corpus, 0.25, seed=seed))
             for seed in SEEDS]
 
 
@@ -64,9 +64,9 @@ def trained_nobias(table1, augmented):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_1_bound_theorem(augmented, trained_nobias):
+def test_criterion_1_bound_theorem(corpus, trained_nobias):
     start = time.monotonic()
-    _, test_ds = split(augmented, 0.25, seed=0)
+    _, test_ds = shifted_split(corpus, 0.25, seed=0)
     checked = 0
     worst_sum = -np.inf
     for seed in range(100):
@@ -239,7 +239,7 @@ def test_criterion_5_degeneracy_probes(trained_nobias):
 
 
 def test_criterion_6_sampled_loss(corpus):
-    subset = Dataset(corpus.pixels[:200], corpus.labels[:200], corpus.origin_ids[:200])
+    subset = Dataset(corpus.pixels[:200], corpus.labels[:200])
     mlp = init_mlp((64, 10, 5, 10), False, 11)
     exact = sampled_loss_expectation(mlp, subset, inversion_group(), mu=1.0,
                                      trials=100, seed=0)
@@ -257,6 +257,15 @@ def test_criterion_6_sampled_loss(corpus):
 # ---------------------------------------------------------------------------
 
 
+def _bytes(ds, order=slice(None)):
+    """A dataset's pixels and labels as bytes, its rows taken in ``order``."""
+    return ds.pixels[order].tobytes(), ds.labels[order].tobytes()
+
+
+def _lexsorted_bytes(ds):
+    return _bytes(ds, np.lexsort((*ds.pixels.T, ds.labels)))
+
+
 def test_criterion_7_pipeline_integrity(tmp_path, corpus, augmented, trained_nobias):
     from symdigits.cli import _figure1_index
     from symdigits.digits import render_image
@@ -264,9 +273,16 @@ def test_criterion_7_pipeline_integrity(tmp_path, corpus, augmented, trained_nob
 
     counts_ok = len(corpus) == 1797 and len(augmented) == 8985
 
-    train_ds, test_ds = split(augmented, 0.25, seed=0)
-    leak_free = not (set(np.unique(train_ds.origin_ids)) &
-                     set(np.unique(test_ds.origin_ids)))
+    # each side is its own images (every fifth row) shifted, and the images
+    # of both sides together are the corpus: no image has a copy on both
+    sides = shifted_split(corpus, 0.25, seed=0)
+    images = [Dataset(side.pixels[::5], side.labels[::5]) for side in sides]
+    sides_shifted = all(_bytes(augment_shifts(own)) == _bytes(side)
+                        for own, side in zip(images, sides))
+    sizes = [len(own) for own in images]
+    both = Dataset(np.concatenate([own.pixels for own in images]),
+                   np.concatenate([own.labels for own in images]))
+    leak_free = sides_shifted and _lexsorted_bytes(both) == _lexsorted_bytes(corpus)
 
     mlp, _, _ = trained_nobias[0]
     save_model(tmp_path / "model.json", mlp, Identity())
@@ -286,7 +302,7 @@ def test_criterion_7_pipeline_integrity(tmp_path, corpus, augmented, trained_nob
 
     ok = counts_ok and leak_free and round_trip and complement and label == 6
     _report(7, "pipeline integrity", ok,
-            f"1797->8985={counts_ok} leak_free={leak_free} "
+            f"1797->8985={counts_ok} leak_free={leak_free} ({sizes[0]}+{sizes[1]} images) "
             f"round_trip={round_trip} figure1_complement={complement} "
             f"(sample {idx})")
 

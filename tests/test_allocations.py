@@ -38,18 +38,18 @@ def traced_peak(call):
 
 
 def held_bytes(*datasets):
-    return sum(ds.pixels.nbytes + ds.labels.nbytes + ds.origin_ids.nbytes for ds in datasets)
+    return sum(ds.pixels.nbytes + ds.labels.nbytes for ds in datasets)
 
 
 @pytest.fixture(scope="module")
 def dataset():
     labels = np.random.default_rng(1).integers(0, 10, N_ROWS)
-    return Dataset(random_images(N_ROWS), labels, np.arange(N_ROWS))
+    return Dataset(random_images(N_ROWS), labels)
 
 
 def test_dataset_keeps_a_float64_array_without_copying(dataset):
     built, peak = traced_peak(
-        lambda: Dataset(dataset.pixels, dataset.labels, dataset.origin_ids))
+        lambda: Dataset(dataset.pixels, dataset.labels))
     assert np.shares_memory(built.pixels, dataset.pixels)
     assert peak < dataset.pixels.nbytes / 100  # measured: about 2 kB of 5.12 MB
 
@@ -115,8 +115,8 @@ def test_shifted_split_holds_its_results_and_the_unshifted_sides(corpus):
     sides, peak = traced_peak(lambda: shifted_split(corpus, test_fraction=0.25, seed=0))
     unshifted = held_bytes(*split(corpus, test_fraction=0.25, seed=0))
     # measured: 1.001 x (results + unshifted sides), where the unshifted
-    # sides are a fifth of the results; split(augment_shifts(corpus)) holds
-    # the whole augmented corpus and both sides gathered from it, 1.80 x
+    # sides are a fifth of the results; shifting the whole corpus before the
+    # split held the augmented corpus and both sides gathered from it, 1.80 x
     assert peak <= 1.05 * (held_bytes(*sides) + unshifted)
 
 
@@ -135,7 +135,7 @@ def test_eval_shifts_only_the_test_side(corpus, tmp_path, monkeypatch, invert):
 
 
 def test_table_runs_hold_one_seeds_sets_at_a_time(corpus):
-    head = Dataset(corpus.pixels[:400], corpus.labels[:400], corpus.origin_ids[:400])
+    head = Dataset(corpus.pixels[:400], corpus.labels[:400])
 
     def run(seeds):
         return reproduce_tables(head, seeds, config=TrainConfig(epochs=1), tables=("table1",))

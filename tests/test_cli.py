@@ -288,10 +288,16 @@ def test_bad_seeds_exit_one_naming_their_flag(tmp_path, capsys, argv, message):
     (["train", "--config", "CONFIG:lr = 0.0_5"], "CONFIG: line 1: bad value for lr"),
     (["train", "--config", "CONFIG:epochs = 3\nseed = \u0663"],
      "CONFIG: line 2: not ASCII"),
+    # a key set twice is an error, not the last value
+    (["train", "--config", "CONFIG:epochs = 3\nepochs = 1"],
+     "CONFIG: line 2: key 'epochs' repeats line 1"),
+    (["data", "stats", "--data", ""], "--data must be a non-empty path, got ''"),
+    (["data", "stats", "--config", "CONFIG:data ="], "--data must be a non-empty path, got ''"),
 ], ids=["batch", "lr", "epochs", "momentum", "test-fraction", "jobs", "seeds-empty", "mu",
         "mu-before-trials", "orbit-n", "goldstone-n", "features", "config-batch",
         "config-features", "epochs-underscore", "lr-underscore", "lr-arabic-indic",
-        "config-epochs-underscore", "config-lr-underscore", "config-seed-arabic-indic"])
+        "config-epochs-underscore", "config-lr-underscore", "config-seed-arabic-indic",
+        "config-repeated-key", "empty-data", "config-empty-data"])
 def test_out_of_range_values_exit_one_naming_their_flag(tmp_path, capsys, argv, message):
     # a config file's values are checked like flags
     config = tmp_path / "run.cfg"
@@ -302,6 +308,17 @@ def test_out_of_range_values_exit_one_naming_their_flag(tmp_path, capsys, argv, 
     assert run(*argv, "--out", str(out)) == 1
     assert capsys.readouterr().err == f"error: {message.replace('CONFIG', str(config))}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_an_empty_out_is_a_usage_error(tmp_path, capsys, monkeypatch, how):
+    # not the current directory: nothing is written there
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("out =\n")
+    argv = ["--out", ""] if how == "flag" else ["--config", "run.cfg"]
+    assert run("data", "stats", *argv) == 1
+    assert capsys.readouterr().err == "error: --out must be a non-empty path, got ''\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 @pytest.mark.parametrize("argv, key, value", [

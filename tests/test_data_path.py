@@ -16,10 +16,9 @@ from hypothesis.extra.numpy import arrays
 
 import symdigits
 from symdigits.degeneracy import dataset_is_inversion_closed
-from symdigits.digits import (Dataset, _distinct_sorted, _parse_canonical, augment_shifts,
-                              bundled_data_path, invert_dataset, load_optdigits,
-                              pixels_to_gray_levels, shifted_split, shifted_test_side, split,
-                              symmetrize)
+from symdigits.digits import (Dataset, _parse_canonical, augment_shifts, bundled_data_path,
+                              invert_dataset, load_optdigits, pixels_to_gray_levels,
+                              shifted_split, shifted_test_side, split, symmetrize)
 from symdigits.features import Identity, NeighborProduct, PermutationProduct
 
 from conftest import grid_translation, random_images
@@ -177,46 +176,39 @@ def reference_augment(pixels):
 def test_augment_matches_per_shift_reference(corpus):
     pixels = np.concatenate([corpus.pixels[:300], -corpus.pixels[:300],
                              random_images(50, seed=3)])  # -0.0 pixels included
-    ds = Dataset(pixels, np.arange(len(pixels)) % 10, np.arange(len(pixels))[::-1])
+    ds = Dataset(pixels, np.arange(len(pixels)) % 10)
     out = augment_shifts(ds)
     expected = reference_augment(ds.pixels)
     assert np.array_equal(out.pixels, expected)
     assert np.array_equal(np.signbit(out.pixels), np.signbit(expected))
     assert np.array_equal(out.labels, np.repeat(ds.labels, 5))
-    assert np.array_equal(out.origin_ids, np.repeat(ds.origin_ids, 5))
 
 
-ORIGIN_IDS = {
-    "shuffled": np.random.default_rng(0).permutation(40),
-    "duplicated": np.random.default_rng(1).integers(0, 15, size=60),
-    "grouped": np.repeat(np.arange(7)[::-1], 3),
-    "single-id": np.full(5, 9),
-    "empty": np.zeros(0, dtype=np.int64),
-}
-
-
-@pytest.mark.parametrize("name", sorted(ORIGIN_IDS))
-def test_distinct_sorted_matches_np_unique(name):
-    ids = ORIGIN_IDS[name]
-    assert np.array_equal(_distinct_sorted(ids), np.unique(ids))
-    assert _distinct_sorted(ids).dtype == np.unique(ids).dtype
-
-
-@pytest.mark.parametrize("name", ["shuffled", "duplicated", "grouped"])
-def test_split_origins_match_np_unique(name):
-    origin_ids = ORIGIN_IDS[name]
-    ds = Dataset(random_images(len(origin_ids), seed=5), np.zeros(len(origin_ids)), origin_ids)
+def reference_split(ds, origin_ids, test_fraction, seed):
+    """The split of shifted data by source image: ``origin_ids[i]`` is the
+    source image of row i, and all rows of one image land on the side that
+    the seed picks for it."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     origins = np.unique(origin_ids)
-    n_test = int(np.floor(0.3 * len(origins)))
-    for seed in range(5):
-        train, test = split(ds, test_fraction=0.3, seed=seed)
-        expected = np.sort(np.random.default_rng(seed).permutation(origins)[:n_test])
-        assert np.array_equal(np.unique(test.origin_ids), expected)
-        assert np.array_equal(np.unique(train.origin_ids), np.setdiff1d(origins, expected))
+    n_test = int(np.floor(test_fraction * len(origins)))
+    if n_test == 0 or n_test == len(origins):
+        raise ValueError("split would leave one side empty")
+    perm = np.random.default_rng(seed).permutation(origins)
+    test_origins = np.sort(perm[:n_test])
+    is_test = np.isin(origin_ids, test_origins)
+    return (Dataset(ds.pixels[~is_test], ds.labels[~is_test]),
+            Dataset(ds.pixels[is_test], ds.labels[is_test]))
+
+
+def reference_shifted_split(ds, test_fraction, seed):
+    """``reference_split`` of the augmented set, each row's origin its image."""
+    origin_ids = np.repeat(np.arange(len(ds)), 5)
+    return reference_split(augment_shifts(ds), origin_ids, test_fraction, seed)
 
 
 def test_split_of_a_single_origin_leaves_one_side_empty():
-    ds = Dataset(random_images(5), np.zeros(5), ORIGIN_IDS["single-id"])
+    ds = Dataset(random_images(1), [0])
     with pytest.raises(ValueError, match="one side empty"):
         split(ds, test_fraction=0.5, seed=0)
 
@@ -226,22 +218,19 @@ def assert_same_datasets(got, expected):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
         assert a.pixels.tobytes() == b.pixels.tobytes() and a.pixels.shape == b.pixels.shape
-        for name in ("labels", "origin_ids"):
-            assert getattr(a, name).dtype == getattr(b, name).dtype
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert a.labels.dtype == b.labels.dtype and a.labels.tobytes() == b.labels.tobytes()
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), n=st.integers(1, 30), fraction=st.floats(0.01, 0.99),
        seed=st.integers(0, 2**32 - 1))
 def test_shifted_split_is_the_split_of_the_augmented_set(data, n, fraction, seed):
-    # unsorted, repeated origin ids; signed zeros among the pixels
-    origin_ids = data.draw(arrays(np.int64, n, elements=st.integers(0, n)))
+    # signed zeros and repeated rows among the pixels
     pixels = data.draw(arrays(np.float64, (n, 64), elements=PIXEL_VALUES))
     labels = data.draw(arrays(np.int64, n, elements=st.integers(0, 9)))
-    ds = Dataset(pixels, labels, origin_ids)
+    ds = Dataset(pixels, labels)
     try:
-        expected = split(augment_shifts(ds), test_fraction=fraction, seed=seed)
+        expected = reference_shifted_split(ds, test_fraction=fraction, seed=seed)
     except ValueError as exc:  # one side empty: the same error
         with pytest.raises(ValueError, match=re.escape(str(exc))):
             shifted_split(ds, test_fraction=fraction, seed=seed)
@@ -250,17 +239,18 @@ def test_shifted_split_is_the_split_of_the_augmented_set(data, n, fraction, seed
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_shifted_split_of_the_corpus(corpus, augmented, seed):
+def test_shifted_split_of_the_corpus(corpus, seed):
     got = shifted_split(corpus, test_fraction=0.25, seed=seed)
-    assert_same_datasets(got, split(augmented, test_fraction=0.25, seed=seed))
+    assert_same_datasets(got, reference_shifted_split(corpus, test_fraction=0.25, seed=seed))
 
 
 @pytest.mark.parametrize("fraction", [0.25, 0.5])
 @pytest.mark.parametrize("seed", [0, 3, 7])
-def test_eval_test_side_is_the_test_side_of_shifted_split(corpus, augmented, seed, fraction):
+def test_eval_test_side_is_the_test_side_of_shifted_split(corpus, seed, fraction):
     got = shifted_test_side(corpus, test_fraction=fraction, seed=seed)
-    assert_same_datasets([got, got], [shifted_split(corpus, test_fraction=fraction, seed=seed)[1],
-                                      split(augmented, test_fraction=fraction, seed=seed)[1]])
+    expected = reference_shifted_split(corpus, test_fraction=fraction, seed=seed)[1]
+    assert_same_datasets([got, got],
+                         [shifted_split(corpus, test_fraction=fraction, seed=seed)[1], expected])
 
 
 def test_data_path_does_not_import_numpy_ma():
@@ -277,8 +267,8 @@ def test_data_path_does_not_import_numpy_ma():
         pytest.skip("importing numpy alone loads numpy.ma")
     assert not loads_numpy_ma(
         "import sys\n"
-        "from symdigits.digits import augment_shifts, bundled_data_path, load_dataset, split\n"
-        "split(augment_shifts(load_dataset(str(bundled_data_path()))), 0.25, seed=0)")
+        "from symdigits.digits import bundled_data_path, load_dataset, shifted_split\n"
+        "shifted_split(load_dataset(str(bundled_data_path())), 0.25, seed=0)")
 
 
 # ---------------------------------------------------------------------------
@@ -313,28 +303,26 @@ def reference_is_closed(ds):
 @settings(max_examples=100, deadline=None)
 @given(x=images())
 def test_symmetrize_matches_concatenated_inversion(x):
-    ds = Dataset(x, np.arange(len(x)) % 10, np.arange(len(x)))
+    ds = Dataset(x, np.arange(len(x)) % 10)
     sym = symmetrize(ds)
     assert same_bits(sym.pixels, np.concatenate([x, x * -1.0]))
     assert np.array_equal(sym.labels, np.concatenate([ds.labels, ds.labels]))
-    assert np.array_equal(sym.origin_ids, np.concatenate([ds.origin_ids, ds.origin_ids]))
 
 
 @settings(max_examples=100, deadline=None)
 @given(x=images())
 def test_invert_dataset_matches_inversion(x):
-    ds = Dataset(x, np.arange(len(x)) % 10, np.arange(len(x)))
+    ds = Dataset(x, np.arange(len(x)) % 10)
     inverted = invert_dataset(ds)
     assert same_bits(inverted.pixels, x * -1.0)
     assert np.array_equal(inverted.labels, ds.labels)
-    assert np.array_equal(inverted.origin_ids, ds.origin_ids)
 
 
 @settings(max_examples=100, deadline=None)
 @given(x=images(), data=st.data())
 def test_closure_check_matches_the_full_gather(x, data):
     labels = data.draw(st.lists(st.integers(0, 3), min_size=len(x), max_size=len(x)))
-    ds = Dataset(x, labels, np.arange(len(x)))
+    ds = Dataset(x, labels)
     assert dataset_is_inversion_closed(ds) == reference_is_closed(ds)
     closed = symmetrize(ds)
     assert dataset_is_inversion_closed(closed) and reference_is_closed(closed)
@@ -343,16 +331,16 @@ def test_closure_check_matches_the_full_gather(x, data):
 @settings(max_examples=100, deadline=None)
 @given(x=images().filter(len), data=st.data())
 def test_closure_check_finds_a_perturbed_row_or_swapped_label(x, data):
-    closed = symmetrize(Dataset(x, np.arange(len(x)) % 4, np.arange(len(x))))
+    closed = symmetrize(Dataset(x, np.arange(len(x)) % 4))
     row = data.draw(st.integers(0, len(closed) - 1))
     pixels = closed.pixels.copy()
     col = data.draw(st.integers(0, 63))
     pixels[row, col] = 0.5 if pixels[row, col] != 0.5 else -0.25
-    perturbed = Dataset(pixels, closed.labels, closed.origin_ids)
+    perturbed = Dataset(pixels, closed.labels)
     assert dataset_is_inversion_closed(perturbed) == reference_is_closed(perturbed)
     labels = closed.labels.copy()
     labels[row] = (labels[row] + 1) % 10
-    swapped = Dataset(closed.pixels, labels, closed.origin_ids)
+    swapped = Dataset(closed.pixels, labels)
     assert dataset_is_inversion_closed(swapped) == reference_is_closed(swapped)
 
 
@@ -383,7 +371,7 @@ def test_pixels_outside_the_unit_range_are_rejected_anywhere(x, data, bad):
     x = x.copy()
     x[data.draw(st.integers(0, len(x) - 1)), data.draw(st.integers(0, 63))] = bad
     with pytest.raises(ValueError, match=r"pixels must lie in \[-1, 1\]"):
-        Dataset(x, np.zeros(len(x)), np.arange(len(x)))
+        Dataset(x, np.zeros(len(x)))
     with pytest.raises(ValueError, match=r"pixels must lie in \[-1, 1\]"):
         pixels_to_gray_levels(x)
 
@@ -391,5 +379,5 @@ def test_pixels_outside_the_unit_range_are_rejected_anywhere(x, data, bad):
 @pytest.mark.parametrize("value", [1.0, -1.0, -0.0, 0.0])
 def test_unit_range_endpoints_and_signed_zero_are_accepted(value):
     x = np.full((3, 64), value)
-    assert same_bits(Dataset(x, np.zeros(3), np.arange(3)).pixels, x)
+    assert same_bits(Dataset(x, np.zeros(3)).pixels, x)
     assert pixels_to_gray_levels(x).shape == (3, 64)

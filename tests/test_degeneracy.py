@@ -27,7 +27,7 @@ ROTATION_GROUP = [_quarter_turns(k) for k in range(4)]  # C4, as maps of pixel a
 
 
 def image_dataset(n=120, seed=0):
-    return Dataset(random_images(n, seed=seed), np.arange(n) % 10, np.arange(n))
+    return Dataset(random_images(n, seed=seed), np.arange(n) % 10)
 
 
 # ---------------------------------------------------------------------------
@@ -44,11 +44,11 @@ def test_inversion_closure_detector():
     labels = sym.labels.copy()
     labels[-1] = (labels[-1] + 1) % 10
     assert not dataset_is_inversion_closed(
-        Dataset(sym.pixels, labels, sym.origin_ids))
+        Dataset(sym.pixels, labels))
     # closure is a multiset property: the row order does not matter
     order = np.random.default_rng(0).permutation(len(sym))
     assert dataset_is_inversion_closed(
-        Dataset(sym.pixels[order], sym.labels[order], sym.origin_ids[order]))
+        Dataset(sym.pixels[order], sym.labels[order]))
 
 
 def test_weight_flip_invariance_on_symmetrized_data():

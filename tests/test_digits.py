@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -74,11 +76,17 @@ def test_scale_rejects_out_of_range():
 
 def test_dataset_invariants():
     with pytest.raises(ValueError):
-        Dataset(np.zeros((1, 63)), [0], [0])
+        Dataset(np.full((1, 64), 1.5), [0])
     with pytest.raises(ValueError):
-        Dataset(np.full((1, 64), 1.5), [0], [0])
-    with pytest.raises(ValueError):
-        Dataset(np.zeros((1, 64)), [10], [0])
+        Dataset(np.zeros((1, 64)), [10])
+    # exactly (n, 64) pixels and (n,) labels: no reshape glues rows together
+    for pixels, labels in [(np.zeros((1, 63)), [0]), (np.zeros((2, 32)), [3]),
+                           (np.zeros(64), [0]), (np.zeros((1, 8, 8)), [0]),
+                           (np.zeros((2, 64)), np.zeros((2, 1))), (np.zeros((2, 64)), [0]),
+                           (np.zeros((1, 64)), 0)]:
+        shapes = f"got {np.shape(pixels)} and {np.shape(labels)}"
+        with pytest.raises(ValueError, match=re.escape(shapes)):
+            Dataset(pixels, labels)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -86,31 +94,18 @@ def test_dataset_rejects_non_finite_pixels(bad):
     pixels = np.zeros((2, 64))
     pixels[1, 5] = bad
     with pytest.raises(ValueError, match="pixels"):
-        Dataset(pixels, [0, 1], [0, 1])
+        Dataset(pixels, [0, 1])
 
 
 @pytest.mark.parametrize("labels", [[0, 1.5], [0.9, 1], [0, np.nan]])
 def test_dataset_rejects_fractional_labels(labels):
     with pytest.raises(ValueError, match="labels must be integers"):
-        Dataset(np.zeros((2, 64)), labels, [0, 1])
+        Dataset(np.zeros((2, 64)), labels)
 
 
 def test_dataset_accepts_integral_float_labels():
-    ds = Dataset(np.zeros((2, 64)), [2.0, 7.0], [0, 1])
+    ds = Dataset(np.zeros((2, 64)), [2.0, 7.0])
     assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [2, 7]
-
-
-@pytest.mark.parametrize("origin_ids", [
-    [0, 1, 2, 3.5], [0.5, 1.7, 2.2, -3.9], [0, 1, 2, np.nan], [0, 1, np.inf, 3],
-    [0, 1, 2, -3], [0, 1, 2, -3.0], [0, 1, 2, 1e300]])
-def test_dataset_rejects_bad_origin_ids(origin_ids):
-    with pytest.raises(ValueError, match="origin_ids"):
-        Dataset(np.zeros((4, 64)), [0, 1, 2, 3], origin_ids)
-
-
-def test_dataset_accepts_integral_float_origin_ids():
-    ds = Dataset(np.zeros((3, 64)), [0, 1, 2], [2.0, 0.0, 2.0])
-    assert ds.origin_ids.dtype == np.int64 and ds.origin_ids.tolist() == [2, 0, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +118,7 @@ def test_augment_multiplies_by_five(corpus):
 
 
 def test_augment_of_blank_image_is_blank():
-    blank = Dataset(np.full((1, 64), -1.0), [0], [0])
+    blank = Dataset(np.full((1, 64), -1.0), [0])
     out = augment_shifts(blank)
     assert len(out) == 5
     assert np.all(out.pixels == -1.0)
@@ -132,11 +127,11 @@ def test_augment_of_blank_image_is_blank():
 def test_augment_moves_hot_pixel_to_four_neighbours():
     x = np.full((8, 8), -1.0)
     x[3, 3] = 1.0
-    ds = Dataset(x.reshape(1, 64), [5], [0])
+    ds = Dataset(x.reshape(1, 64), [5])
     out = augment_shifts(ds)
     hot = [tuple(np.argwhere(p.reshape(8, 8) == 1.0)[0]) for p in out.pixels]
     assert hot == [(3, 3), (3, 4), (3, 2), (4, 3), (2, 3)]
-    assert np.all(out.labels == 5) and np.all(out.origin_ids == 0)
+    assert np.all(out.labels == 5)
 
 
 def test_symmetrize_doubles_and_preserves_originals(corpus):
@@ -147,20 +142,18 @@ def test_symmetrize_doubles_and_preserves_originals(corpus):
     assert sym.pixels.mean() == 0.0
 
 
-def test_split_floor_rule_and_partition(augmented):
-    train, test = split(augmented, test_fraction=0.25, seed=0)
-    train_origins = set(np.unique(train.origin_ids).tolist())
-    test_origins = set(np.unique(test.origin_ids).tolist())
-    assert len(test_origins) == 449          # floor(0.25 * 1797)
-    assert len(train_origins) == 1348
-    assert not train_origins & test_origins
-    assert len(train) + len(test) == len(augmented)
+def test_split_floor_rule_and_partition(corpus):
+    train, test = split(corpus, test_fraction=0.25, seed=0)
+    assert len(test) == 449          # floor(0.25 * 1797)
+    assert len(train) == 1348
+    rows = sorted(map(bytes, np.concatenate([train.pixels, test.pixels])))
+    assert rows == sorted(map(bytes, corpus.pixels))
 
 
-def test_split_deterministic(augmented):
-    a = split(augmented, 0.25, seed=7)
-    b = split(augmented, 0.25, seed=7)
-    assert np.array_equal(a[1].origin_ids, b[1].origin_ids)
+def test_split_deterministic(corpus):
+    a = split(corpus, 0.25, seed=7)
+    b = split(corpus, 0.25, seed=7)
+    assert np.array_equal(a[1].labels, b[1].labels)
     assert np.array_equal(a[0].pixels, b[0].pixels)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from symdigits.digits import Dataset, augment_shifts, invert_dataset, split, symmetrize
+from symdigits.digits import Dataset, invert_dataset, shifted_split, symmetrize
 from symdigits.experiments import (CELLS, CSV_FIELDS, TABLE_ROWS, accuracy, bound_check,
                                    evaluate, reproduce_tables, run_row)
 from symdigits.features import Identity, NeighborProduct, PermutationProduct, Square
@@ -24,7 +24,7 @@ def balanced_dataset(per_class=7):
     n = 10 * per_class
     pixels = rng.integers(0, 17, size=(n, 64)) / 8.0 - 1.0
     labels = np.repeat(np.arange(10), per_class)
-    return Dataset(pixels, labels, np.arange(n))
+    return Dataset(pixels, labels)
 
 
 def test_constant_predictor_scores_one_tenth_on_balanced_set():
@@ -43,7 +43,7 @@ def test_accuracy_consistent_with_confusion():
 
 
 def test_accuracy_rejects_empty_dataset():
-    empty = Dataset(np.zeros((0, 64)), [], [])
+    empty = Dataset(np.zeros((0, 64)), [])
     with pytest.raises(ValueError):
         accuracy(zero_model(), Identity(), empty)
 
@@ -65,7 +65,7 @@ def bias_free_models_and_test_sets(draw):
     pixels = draw(hnp.arrays(np.float64, (rows, 64), elements=st.floats(-1.0, 1.0)))
     pixels[draw(hnp.arrays(np.bool_, rows))] = 0.0  # zero rows: every logit ties
     labels = draw(hnp.arrays(np.int64, rows, elements=st.integers(0, 9)))
-    return mlp, Dataset(pixels, labels, np.arange(rows))
+    return mlp, Dataset(pixels, labels)
 
 
 @settings(max_examples=200, deadline=None)
@@ -84,7 +84,7 @@ def test_bound_exceeds_one_only_by_label_zero_rows_with_tied_logits(model_and_se
 def test_zero_image_of_class_zero_is_correct_on_both_sides():
     # all ten logits are 0, so x and -x are both predicted as class 0
     report = bound_check(init_mlp((64, 10, 5, 10), False, 0), Identity(),
-                         Dataset(np.zeros((1, 64)), [0], [0]))
+                         Dataset(np.zeros((1, 64)), [0]))
     assert (report.R, report.R_bar, report.holds) == (1.0, 1.0, False)
 
 
@@ -98,7 +98,7 @@ def test_bound_check_rejects_bias_or_invariant_features():
 
 def test_bound_check_rejects_empty_dataset():
     with pytest.raises(ValueError, match="empty"):
-        bound_check(zero_model(), Identity(), Dataset(np.zeros((0, 64)), [], []))
+        bound_check(zero_model(), Identity(), Dataset(np.zeros((0, 64)), []))
 
 
 def test_evaluate_report_self_consistency():
@@ -169,11 +169,11 @@ def test_table_row_definitions():
 
 @pytest.fixture(scope="module")
 def head_tables(corpus):
-    """Both tables for seed 1 at 2 epochs on a 300-origin slice: the
-    augmented slice and the report.  Seed 1, not 0, so that a row which
+    """Both tables for seed 1 at 2 epochs on a 300-image slice: the slice
+    and the report.  Seed 1, not 0, so that a row which
     missed the seed would train with the default seed 0 and show."""
-    head = Dataset(corpus.pixels[:300], corpus.labels[:300], corpus.origin_ids[:300])
-    return augment_shifts(head), reproduce_tables(head, seeds=[1], config=TrainConfig(epochs=2))
+    head = Dataset(corpus.pixels[:300], corpus.labels[:300])
+    return head, reproduce_tables(head, seeds=[1], config=TrainConfig(epochs=2))
 
 
 def test_reproduce_tables_single_seed_emits_14_rows(head_tables):
@@ -195,8 +195,8 @@ def test_reproduce_tables_single_seed_emits_14_rows(head_tables):
 
 
 def test_reproduce_tables_cells_equal_an_independent_loop(head_tables):
-    augmented, report = head_tables
-    train_ds, test_ds = split(augmented, test_fraction=0.25, seed=1)
+    head, report = head_tables
+    train_ds, test_ds = shifted_split(head, test_fraction=0.25, seed=1)
     rows = [("table1", bias, Identity(), symmetrized)
             for bias in (False, True) for symmetrized in (False, True)]
     rows += [("table2", bias, feature_map, False) for bias in (False, True)
@@ -248,7 +248,7 @@ def test_reproduce_tables_caps_worker_processes(monkeypatch, corpus, cpus, jobs,
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    head = Dataset(corpus.pixels[:100], corpus.labels[:100], corpus.origin_ids[:100])
+    head = Dataset(corpus.pixels[:100], corpus.labels[:100])
     kwargs = dict(seeds=[0], config=TrainConfig(epochs=1), tables=("table1",))
     report = reproduce_tables(head, jobs=jobs, **kwargs)
     assert started == ([] if workers is None else [workers])
@@ -258,7 +258,7 @@ def test_reproduce_tables_caps_worker_processes(monkeypatch, corpus, cpus, jobs,
 def test_process_pool_with_unsorted_seeds_matches_serial(corpus):
     # the pool takes the rows of every seed at once, symmetrized rows first;
     # the report keeps the seeds' given order, which cell_mean sums in
-    head = Dataset(corpus.pixels[:100], corpus.labels[:100], corpus.origin_ids[:100])
+    head = Dataset(corpus.pixels[:100], corpus.labels[:100])
     kwargs = dict(seeds=[2, 0], config=TrainConfig(epochs=1))
     pooled = reproduce_tables(head, jobs=2, **kwargs)
     serial = reproduce_tables(head, **kwargs)
@@ -269,7 +269,7 @@ def test_process_pool_with_unsorted_seeds_matches_serial(corpus):
 
 
 def test_reproduce_tables_csv_output(tmp_path, corpus):
-    head = Dataset(corpus.pixels[:200], corpus.labels[:200], corpus.origin_ids[:200])
+    head = Dataset(corpus.pixels[:200], corpus.labels[:200])
     report = reproduce_tables(head, seeds=[0, 1],
                               config=TrainConfig(epochs=1), tables=("table1",))
     path = tmp_path / "results.csv"

@@ -70,7 +70,7 @@ def test_inversion_is_negation_including_signed_zeros():
 def test_pixel_action_leaves_its_input_alone():
     x = random_images(2, seed=10)
     before = x.copy()
-    out = augment_shifts(Dataset(x, [0, 1], [0, 1]))
+    out = augment_shifts(Dataset(x, [0, 1]))
     out.pixels[:] = 0.0
     assert np.array_equal(x, before)
 

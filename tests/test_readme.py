@@ -1,11 +1,18 @@
 """Every ``from symdigits... import ...`` that README.md cites, in a code
-block or in inline code, imports."""
+block or in inline code, imports; every ``symdigits`` command line in a
+code block parses and resolves; and the API size it states is the number
+of names the package re-exports."""
 
+import ast
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+import symdigits
+from symdigits import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # a fenced block's body, or an inline code span
@@ -31,3 +38,32 @@ def test_readme_cites_an_import():
 @pytest.mark.parametrize("module, name", _readme_imports())
 def test_readme_import_resolves(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+def _readme_commands():
+    """The arguments of every ``symdigits ...`` line in README's code
+    blocks, its ``#`` comment dropped."""
+    text = README.read_text(encoding="utf-8")
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for match in _CODE.finditer(text) if match.group(1)
+            for line in match.group(1).splitlines() if line.startswith("symdigits ")]
+
+
+def test_readme_cites_a_command():
+    assert _readme_commands()
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_resolves(argv):
+    command = cli._command_of(argv)
+    assert command is not None, argv
+    args = cli.build_parser(command).parse_args(argv[command.count(" ") + 1:])
+    cli._resolve(args)  # a bad flag or value raises CliError
+
+
+def test_readme_states_the_api_size():
+    tree = ast.parse(Path(symdigits.__file__).read_text(encoding="utf-8"))
+    names = [alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+    stated = re.findall(r"\((\d+)\s+names\)", README.read_text(encoding="utf-8"))
+    assert stated == [str(len(names))]
