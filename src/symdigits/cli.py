@@ -34,7 +34,7 @@ from .degeneracy import (generator_curvature_sweep, make_toy_task,
                          weight_orbit_invariance, weight_flip_deviation)
 from .digits import (Dataset, augment_shifts, bundled_data_path, class_counts,
                      dataset_stats, invert_dataset, load_dataset, pixels_to_gray_levels,
-                     render_image, shifted_split, shifted_test_side, symmetrize)
+                     render_image, shifted_split, shifted_test_side)
 from .experiments import CELLS, bound_check, evaluate, format_verdicts, reproduce_tables
 from .features import (FEATURE_NAMES, N_PIXELS, Identity, NeighborProduct,
                        feature_map_from_name, inversion_group)
@@ -358,16 +358,16 @@ def cmd_reproduce(args, resolved, out):
 
 
 def _probe_weight_flip(args, resolved, out):
-    shifted = augment_shifts(load_dataset(_data_path(resolved)))
+    # +-X as one array; its first half is the shifted corpus X, a view
+    subset = augment_shifts(load_dataset(_data_path(resolved)), symmetrized=True)
+    half = len(subset) // 2
     if args.model:
         mlp, feature_map = _load_model(args.model)
         if mlp.use_bias or not isinstance(feature_map, Identity):
             raise CliError("weight-flip probe needs a bias-free identity-feature model")
     else:
         mlp = init_mlp(PAPER_DIMS, use_bias=False, seed_or_rng=resolved["seed"])
-    witness = weight_flip_deviation(mlp, shifted)
-    subset = symmetrize(shifted)
-    del shifted  # not held through the closure check, whose sorted copies set the peak memory
+    witness = weight_flip_deviation(mlp, Dataset(subset.pixels[:half], subset.labels[:half]))
     deviation = weight_orbit_invariance(mlp, subset)
     payload = {
         "deviation_symmetrized": deviation, "tolerance": 1e-9,

@@ -153,14 +153,21 @@ def load_bundled_dataset() -> Dataset:
     return load_dataset(str(bundled_data_path()))
 
 
-def augment_shifts(ds: Dataset) -> Dataset:
+def augment_shifts(ds: Dataset, symmetrized: bool = False) -> Dataset:
     """Enlarge by a factor of 5: each image plus its four 1-pixel shifts
     (right, left, down, up), background filled with -1.  An image's five
-    copies are consecutive rows, in its place."""
-    shifted = np.take(ds.pixels, _AUGMENT_INDEX, axis=1)  # (n, 5 * 64)
-    shifted[:, _AUGMENT_VACATED] = SHIFT_FILL
-    pixels = shifted.reshape(5 * len(ds), N_PIXELS)
-    return Dataset(pixels, np.repeat(ds.labels, 5))
+    copies are consecutive rows, in its place.
+
+    ``symmetrized=True`` gives ``symmetrize(augment_shifts(ds))`` bit for bit
+    as one array, without the unsymmetrized copy: it shifts the inverted
+    images too, whose vacated cells get the inverted background, +1.
+    """
+    source = symmetrize(ds) if symmetrized else ds
+    shifted = np.take(source.pixels, _AUGMENT_INDEX, axis=1)  # (rows, 5 * 64)
+    shifted[:len(ds), _AUGMENT_VACATED] = SHIFT_FILL
+    shifted[len(ds):, _AUGMENT_VACATED] = -SHIFT_FILL  # the inverted half, if any
+    pixels = shifted.reshape(5 * len(source), N_PIXELS)
+    return Dataset(pixels, np.repeat(source.labels, 5))
 
 
 def symmetrize(ds: Dataset) -> Dataset:
@@ -200,14 +207,15 @@ def split(ds: Dataset, test_fraction: float = 0.25, seed: int = 0) -> tuple[Data
             Dataset(ds.pixels[is_test], ds.labels[is_test]))
 
 
-def shifted_split(ds: Dataset, test_fraction: float = 0.25,
-                  seed: int = 0) -> tuple[Dataset, Dataset]:
+def shifted_split(ds: Dataset, test_fraction: float = 0.25, seed: int = 0,
+                  symmetrized: bool = False) -> tuple[Dataset, Dataset]:
     """Train and test sets: ``split`` the unshifted images, then shift each
     side (``augment_shifts``), so that no shifted copy of an image leaks
     across the split.  The peak is the two results plus the unshifted sides,
-    not the whole augmented corpus."""
+    not the whole augmented corpus.  ``symmetrized=True`` makes the train
+    side +-X_train, ``augment_shifts(train, symmetrized=True)``."""
     train, test = split(ds, test_fraction, seed)
-    return augment_shifts(train), augment_shifts(test)
+    return augment_shifts(train, symmetrized), augment_shifts(test)
 
 
 def shifted_test_side(ds: Dataset, test_fraction: float = 0.25, seed: int = 0) -> Dataset:

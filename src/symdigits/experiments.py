@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .digits import Dataset, invert_dataset, shifted_split, symmetrize
+from .digits import Dataset, invert_dataset, shifted_split
 from .features import FeatureMapKind, Identity, feature_map_from_name
 from .network import N_CLASSES, Mlp, TrainConfig, predict, forward, train
 
@@ -140,20 +140,20 @@ def evaluate(mlp: Mlp, feature_map: FeatureMapKind, test: Dataset,
 
 def run_row(config: TrainConfig, feature_map: FeatureMapKind, train_variant: str,
             train_ds: Dataset, test_ds: Dataset) -> EvalReport:
-    """Train one table row and evaluate it on X_test and -X_test.
+    """Train one table row on ``train_ds`` and evaluate it on X_test and
+    -X_test.
 
-    ``train_variant`` is "X_train" for the training set as given or
-    "pmX_train" for its symmetrized copy; ``config`` carries the row's seed
-    and bias mode.
+    ``train_variant`` names the training set: "X_train", or "pmX_train" when
+    ``train_ds`` is already symmetrized (``shifted_split(...,
+    symmetrized=True)``); ``config`` carries the row's seed and bias mode.
     """
     if train_variant not in ("X_train", "pmX_train"):
         raise ValueError(f"train_variant must be X_train or pmX_train, got {train_variant!r}")
-    effective = symmetrize(train_ds) if train_variant == "pmX_train" else train_ds
-    result = train(config, feature_map.apply(effective.pixels), effective.labels)
+    result = train(config, feature_map.apply(train_ds.pixels), train_ds.labels)
     bias = "bias" if config.use_bias else "nobias"
     model_id = f"{bias}-{feature_map.name}-{train_variant}-seed{config.seed}"
     train_set_name = "+-X_train" if train_variant == "pmX_train" else "X_train"
-    return evaluate(result.mlp, feature_map, test_ds, model_id, train_set_name, len(effective))
+    return evaluate(result.mlp, feature_map, test_ds, model_id, train_set_name, len(train_ds))
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +253,12 @@ class TablesReport:
 
 def _table_row(corpus: Dataset, test_fraction: float, config: TrainConfig, table: str,
                seed: int, idx: int) -> EvalReport:
-    """Row ``idx`` of ``table`` at ``seed``, on that seed's X_train and X_test.
-    The sets are built here and live only in this call."""
+    """Row ``idx`` of ``table`` at ``seed``, on that seed's X_train (or
+    +-X_train) and X_test.  The sets are built here and live only in this
+    call."""
     bias, features, variant = TABLE_ROWS[table][idx]
-    train_ds, test_ds = shifted_split(corpus, test_fraction=test_fraction, seed=seed)
+    train_ds, test_ds = shifted_split(corpus, test_fraction=test_fraction, seed=seed,
+                                      symmetrized=variant == "pmX_train")
     return run_row(replace(config, seed=seed, use_bias=bias),
                    feature_map_from_name(features, seed), variant, train_ds, test_ds)
 

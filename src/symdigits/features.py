@@ -111,7 +111,9 @@ class PermutationProduct:
 
     def apply(self, pixels: np.ndarray) -> np.ndarray:
         x = _as_pixels(pixels)
-        prod = x[..., self.perm]
+        # take, not x[..., perm]: the fancy index lays its result out in
+        # Fortran order, and every row gather in training then copies it whole
+        prod = x.take(self.perm, axis=-1)
         prod *= x
         return prod
 

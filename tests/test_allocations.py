@@ -1,11 +1,12 @@
 """Peak memory of the data path and of training, traced with tracemalloc.
 
 Validation, symmetrization, the closure check, the identity feature map,
-training and softmax build no full-size temporary; the shifted split builds
-no whole augmented corpus, and the table runs hold one seed's sets at a
-time.  Each bound is the size of what the call must hold (its result, or
-one label block) plus a margin over the measured peak; the full-size copies
-these calls once made fail it by a wide margin.
+training on any feature map's output and softmax build no full-size
+temporary; the shifted split builds no whole augmented corpus, the table
+runs hold one seed's sets at a time, and a symmetrized row never holds
+X_train beside +-X_train.  Each bound is the size of what the call must
+hold (its result, or one label block) plus a margin over the measured
+peak; the full-size copies these calls once made fail it by a wide margin.
 """
 
 import tracemalloc
@@ -86,10 +87,13 @@ def test_product_maps_allocate_only_their_result(dataset, kind):
     assert peak <= 1.05 * feats.nbytes  # measured: at most 1.026 x (the perm gather)
 
 
-def test_training_holds_one_gather_block_and_a_few_vectors():
-    # the X_train size of one table seed, through the read-only identity view
+@pytest.mark.parametrize("kind", [Identity(), Square(), NeighborProduct(), PermutationProduct(0)],
+                         ids=lambda kind: kind.name)
+def test_training_holds_one_gather_block_and_a_few_vectors(kind):
+    # the X_train size of one table seed, as each feature map hands it over
+    # (identity: a read-only view of the pixels)
     n = 6740
-    feats = Identity().apply(random_images(n, seed=2))
+    feats = kind.apply(random_images(n, seed=2))
     labels = np.random.default_rng(2).integers(0, N_CLASSES, n)
     config = TrainConfig(seed=0, epochs=2)
     result, peak = traced_peak(lambda: train(config, feats, labels))
@@ -98,8 +102,10 @@ def test_training_holds_one_gather_block_and_a_few_vectors():
     # labels; a 2048-row block added 0.8 MB to the peak RSS of a table run
     block = 512 * (feats.shape[1] + N_CLASSES) * 8
     # plus six n-vectors of 8 bytes (the current and the last epoch order,
-    # the label probabilities, ...); measured 541 kB against this 627 kB
-    # bound; a full gather of the features alone is 3.45 MB
+    # the label probabilities, ...); measured 534 kB against this 627 kB
+    # bound for every map; a full gather of the features alone is 3.45 MB,
+    # and each block's row gather made one from Fortran-ordered perm
+    # features (3.93 MB peak)
     assert peak <= block + 48 * n
 
 
@@ -112,8 +118,10 @@ def test_softmax_allocates_its_result_and_one_column():
 
 
 def test_shifted_split_holds_its_results_and_the_unshifted_sides(corpus):
-    sides, peak = traced_peak(lambda: shifted_split(corpus, test_fraction=0.25, seed=0))
+    # split first: its first draw imports numpy.random, which the trace
+    # would otherwise count
     unshifted = held_bytes(*split(corpus, test_fraction=0.25, seed=0))
+    sides, peak = traced_peak(lambda: shifted_split(corpus, test_fraction=0.25, seed=0))
     # measured: 1.001 x (results + unshifted sides), where the unshifted
     # sides are a fifth of the results; shifting the whole corpus before the
     # split held the augmented corpus and both sides gathered from it, 1.80 x
@@ -146,3 +154,15 @@ def test_table_runs_hold_one_seeds_sets_at_a_time(corpus):
     # a second seed adds its reports, not its sets: measured +0.01 x one
     # seed's sets; building every seed's sets before the first row added 1.01 x
     assert two_seeds <= one_seed + 0.25 * sets
+
+
+def test_a_symmetrized_table_row_never_holds_x_train_and_its_symmetrized_copy(corpus):
+    _, peak = traced_peak(lambda: reproduce_tables(corpus, [0], config=TrainConfig(epochs=1),
+                                                   tables=("table1",)))
+    x_train, x_test = shifted_split(corpus, test_fraction=0.25, seed=0)
+    pm_train, _ = shifted_split(corpus, test_fraction=0.25, seed=0, symmetrized=True)
+    # the pmX_train rows peak with +-X_train, X_test and the row's training
+    # and evaluation buffers; holding X_train besides would take the peak
+    # past all three sets.  Measured 9.87 MB against this 11.68 MB bound;
+    # symmetrizing the shifted X_train inside run_row peaked at 13.38 MB
+    assert peak < held_bytes(x_train, pm_train, x_test)

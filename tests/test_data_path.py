@@ -19,7 +19,8 @@ from symdigits.degeneracy import dataset_is_inversion_closed
 from symdigits.digits import (Dataset, _parse_canonical, augment_shifts, bundled_data_path,
                               invert_dataset, load_optdigits, pixels_to_gray_levels,
                               shifted_split, shifted_test_side, split, symmetrize)
-from symdigits.features import Identity, NeighborProduct, PermutationProduct
+from symdigits.features import (FEATURE_NAMES, Identity, NeighborProduct, PermutationProduct,
+                                feature_map_from_name)
 
 from conftest import grid_translation, random_images
 
@@ -310,6 +311,19 @@ def test_symmetrize_matches_concatenated_inversion(x):
 
 
 @settings(max_examples=100, deadline=None)
+@given(x=images(), data=st.data())
+def test_symmetrized_augment_is_the_symmetrized_shifted_set(x, data):
+    labels = data.draw(st.lists(st.integers(0, 9), min_size=len(x), max_size=len(x)))
+    ds = Dataset(x, labels)
+    merged = augment_shifts(ds, symmetrized=True)
+    expected = symmetrize(augment_shifts(ds))
+    assert same_bits(merged.pixels, expected.pixels)  # -0.0 and the +1 background too
+    assert np.array_equal(merged.labels, expected.labels)
+    assert merged.pixels.flags.c_contiguous
+    assert dataset_is_inversion_closed(merged)
+
+
+@settings(max_examples=100, deadline=None)
 @given(x=images())
 def test_invert_dataset_matches_inversion(x):
     ds = Dataset(x, np.arange(len(x)) % 10)
@@ -355,6 +369,9 @@ def test_feature_maps_match_their_full_size_expressions(x, single, seed):
     perm = PermutationProduct(seed)
     assert same_bits(perm.apply(x), x * x[..., perm.perm])
     assert same_bits(Identity().apply(x), x)
+    # C-ordered rows: training gathers row blocks of them without a copy
+    for name in FEATURE_NAMES:
+        assert feature_map_from_name(name, seed).apply(x).flags.c_contiguous, name
 
 
 # ---------------------------------------------------------------------------

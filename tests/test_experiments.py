@@ -145,11 +145,19 @@ def test_run_row_trains_and_reports(small_splits):
     assert 0.0 <= report.R <= 1.0
 
 
-def test_run_row_symmetrized_variant_doubles_training_set(small_splits):
+def test_symmetrized_split_doubles_the_training_set_and_run_row_trains_on_it(corpus,
+                                                                            small_splits):
     train_ds, test_ds = small_splits
+    head = Dataset(corpus.pixels[:400], corpus.labels[:400])
+    pm_train, pm_test = shifted_split(head, test_fraction=0.25, seed=0, symmetrized=True)
+    assert len(pm_train) == 2 * len(train_ds)
+    assert np.array_equal(pm_test.pixels, test_ds.pixels)
     config = TrainConfig(seed=0, epochs=4)
-    report = run_row(config, Identity(), "pmX_train", train_ds, test_ds)
-    assert report.sample_counts["train"] == 2 * len(train_ds)
+    report = run_row(config, Identity(), "pmX_train", pm_train, test_ds)
+    assert report.sample_counts["train"] == len(pm_train)
+    direct = train(config, pm_train.pixels, pm_train.labels).mlp  # the set as given
+    assert all(np.array_equal(a.weights, b.weights)
+               for a, b in zip(report.mlp.layers, direct.layers))
     assert report.train_set_name.startswith("+-")
 
 

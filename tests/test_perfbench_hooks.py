@@ -10,6 +10,7 @@ from pathlib import Path
 
 import symdigits.experiments as experiments
 import symdigits.features as features
+from symdigits.digits import Dataset
 from symdigits.features import Identity
 from symdigits.network import TrainConfig
 
@@ -59,3 +60,21 @@ def test_traced_table_row_counts_one_training_and_its_steps(small_splits):
     assert metrics["network.train.calls"] == 1
     assert metrics["network.train.steps"] == 2 * math.ceil(len(train_ds) / 32)
     assert metrics["features.identity.apply.calls"] == 3  # train, X_test, -X_test
+
+
+def test_traced_table_pass_counts_what_the_benchmark_pins(corpus):
+    # perfbench pins one run_row and one train call per table row, the SGD
+    # steps counted from the length of each training set, and a measured
+    # digits.symmetrize; a table-1 pass at one seed shows all of them
+    head = Dataset(corpus.pixels[:400], corpus.labels[:400])
+    tracer = load_tracer_module().Tracer().install()
+    try:
+        report = experiments.reproduce_tables(head, [0], TrainConfig(epochs=1),
+                                              tables=("table1",))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["experiments.run_row.calls"] == metrics["network.train.calls"] == 4
+    assert metrics["network.train.steps"] == sum(
+        math.ceil(r.sample_counts["train"] / 32) for r in report.reports.values())
+    assert metrics["digits.symmetrize.calls"] >= 1
