@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import shutil
 import sys
@@ -40,7 +39,7 @@ from .features import (FEATURE_NAMES, N_PIXELS, Identity, NeighborProduct,
                        feature_map_from_name, inversion_group)
 from .network import (N_CLASSES, PAPER_HIDDEN_DIMS, TrainConfig, TrainingDiverged, init_mlp,
                       train)
-from .persistence import load_model, save_model
+from .persistence import load_model, save_model, write_json
 from .svg import bar_chart, line_chart
 
 
@@ -106,8 +105,6 @@ FLAGS = {
                       _must(lambda v: 0 < v < 1, "in (0, 1)")),
 }
 DEFAULTS = {key: default for key, (default, _, _) in FLAGS.items()}
-# the bool keys that also have a --no- flag, to override a config file
-_NEGATABLE = ("bias",)
 # the probes' fresh networks
 PAPER_DIMS = (N_PIXELS, *PAPER_HIDDEN_DIMS, N_CLASSES)
 
@@ -176,14 +173,8 @@ def _resolve(args) -> dict:
     return resolved
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        json.dump(payload, f, indent=1)
-        f.write("\n")
-
-
 def _write_manifest(out: Path, command: str, resolved: dict) -> None:
-    _write_json(out / "manifest.json", {
+    write_json(out / "manifest.json", {
         "command": command,
         "config": dict(sorted(resolved.items())),
         "version": __version__,
@@ -232,7 +223,7 @@ def cmd_data(args, resolved, out):
     elif args.what == "stats":
         ds = load_dataset(_data_path(resolved))
         stats = dataset_stats(ds)
-        _write_json(out / "stats.json", stats)
+        write_json(out / "stats.json", stats)
         print(f"{len(ds)} images, class counts {stats['class_counts']}")
 
 
@@ -254,7 +245,7 @@ def cmd_train(args, resolved, out):
     report = evaluate(result.mlp, feature_map, test_ds,
                       model_id=f"train-seed{config.seed}",
                       train_set_name="optdigits+shifts.train", n_train=len(train_ds))
-    _write_json(out / "train_report.json", report.to_dict())
+    write_json(out / "train_report.json", report.to_dict())
     print(f"model -> {out / 'model.json'}  R={report.R:.4f}  Rbar={report.R_bar:.4f}")
 
 
@@ -268,7 +259,7 @@ def cmd_eval(args, resolved, out):
     report = evaluate(mlp, feature_map, test_ds,
                       model_id=Path(args.model).stem,
                       train_set_name="(loaded model)", n_train=0)
-    _write_json(out / "eval_report.json", report.to_dict())
+    write_json(out / "eval_report.json", report.to_dict())
     print(f"R={report.R:.4f}  Rbar={report.R_bar:.4f}  sum={report.bound_sum:.4f}")
 
 
@@ -304,7 +295,7 @@ def cmd_reproduce(args, resolved, out):
         render_image(NeighborProduct().apply(pixels), out / "figure1_features.pgm")
         complement_exact = bool(np.all(
             pixels_to_gray_levels(pixels) + pixels_to_gray_levels(inverted) == 255))
-        _write_json(out / "figure1.json", {
+        write_json(out / "figure1.json", {
             "sample_index": idx, "label": label,
             "inverted_is_255_complement": complement_exact,
         })
@@ -318,7 +309,7 @@ def cmd_reproduce(args, resolved, out):
                               test_fraction=resolved["test_fraction"],
                               jobs=resolved["jobs"])
     report.write_csv(out / "results.csv")
-    _write_json(out / "report.json", report.to_dict())
+    write_json(out / "report.json", report.to_dict())
 
     cells = sorted(c for c in report.cells if c in CELLS)
     bar_chart(out / "accuracies.svg",
@@ -448,7 +439,7 @@ PROBES = {
 
 def cmd_probe(args, resolved, out):
     payload, summary, failure = PROBES[args.what](args, resolved, out)
-    _write_json(out / f"probe_{args.what.replace('-', '_')}.json", payload)
+    write_json(out / f"probe_{args.what.replace('-', '_')}.json", payload)
     print(summary)
     return None if payload["passed"] else failure
 
@@ -494,8 +485,8 @@ def _add_flag(p: argparse.ArgumentParser, key: str) -> None:
         return
     group = p.add_mutually_exclusive_group()
     group.add_argument(flag, dest=key, action="store_true", default=None, help=text)
-    if key in _NEGATABLE:
-        group.add_argument("--no-" + flag[2:], dest=key, action="store_false", default=None)
+    # --no-KEY, so that a flag overrides a config file's true
+    group.add_argument("--no-" + flag[2:], dest=key, action="store_false", default=None)
 
 
 class _Parser(argparse.ArgumentParser):

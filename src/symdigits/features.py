@@ -37,11 +37,6 @@ def inversion_group() -> list:
 # ---------------------------------------------------------------------------
 
 
-def make_permutation(seed: int) -> np.ndarray:
-    """Draw a uniform random permutation of 0..63 (Fisher-Yates, seeded)."""
-    return np.random.default_rng(seed).permutation(N_PIXELS)
-
-
 @dataclass(frozen=True)
 class Identity:
     """Raw pixels, unchanged.  Not inversion invariant.
@@ -102,7 +97,8 @@ class PermutationProduct:
 
     @cached_property
     def perm(self) -> np.ndarray:
-        return make_permutation(self.seed)
+        """A uniform random permutation of 0..63 (Fisher-Yates), drawn from seed."""
+        return np.random.default_rng(self.seed).permutation(N_PIXELS)
 
     @cached_property
     def fixed_points(self) -> int:

@@ -262,33 +262,24 @@ def _backprop(layers: list[Layer], X: np.ndarray, onehot: np.ndarray,
             delta *= slope
 
 
-def loss_and_gradients(mlp: Mlp, X: np.ndarray, y: np.ndarray) -> tuple[float, list[Layer]]:
-    """Summed cross-entropy over a batch and the gradient of its mean.
-
-    ``X`` is (n, fan_in) float64 and ``y`` holds n integer labels, which the
-    caller has checked to lie in 0..n_classes-1.  It runs ``_backprop``,
-    the kernel that train steps along, so grad_check checks the code that
-    trains.  The gradient list has one Layer per network layer; bias slots
-    are None exactly where the network has no bias.
-    """
-    n, n_classes = len(y), mlp.layers[-1].fan_out
-    picked = np.empty(n)
-    grads = _flatten(mlp.layers)[1]  # every entry is overwritten by the kernel
-    _backprop(mlp.layers, X, np.eye(n_classes)[y], np.arange(n) * n_classes + y, picked,
-              grads, _Workspace(mlp.layers, n))
-    return float(np.sum(np.negative(_log_probability(picked), out=picked))), grads
-
-
 def backward(mlp: Mlp, features, label) -> list[Layer]:
     """Analytic gradient of the mean cross-entropy over the given samples.
 
     For a single sample this is exactly the gradient of that sample's loss.
+    It runs ``_backprop``, the kernel that train steps along, so grad_check
+    checks the code that trains.  The gradient list has one Layer per
+    network layer; bias slots are None exactly where the network has no
+    bias.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     y = np.atleast_1d(as_integers(label, "labels"))
     _check_features(mlp, x)
-    _check_labels(y, mlp.layers[-1].fan_out)
-    return loss_and_gradients(mlp, x, y)[1]
+    n, n_classes = len(y), mlp.layers[-1].fan_out
+    _check_labels(y, n_classes)
+    grads = _flatten(mlp.layers)[1]  # every entry is overwritten by the kernel
+    _backprop(mlp.layers, x, np.eye(n_classes)[y], np.arange(n) * n_classes + y, np.empty(n),
+              grads, _Workspace(mlp.layers, n))
+    return grads
 
 
 def _flatten(layers: list[Layer]) -> tuple[np.ndarray, list[Layer]]:
@@ -335,7 +326,7 @@ def train(config: TrainConfig, features, labels) -> TrainResult:
     steps keep: per-batch sums of log p (one row reduction, bit-equal to
     each batch's np.sum), added in batch order as -sum == sum(-log p).
     """
-    X = np.asarray(features, dtype=np.float64)
+    X = np.asarray(features, dtype=np.float64, order="C")  # row gathers copy only their rows
     y = as_integers(labels, "labels")
     if X.ndim != 2 or y.shape != (len(X),):
         raise ValueError(f"need (n, d) features and n labels, got {X.shape} and {y.shape}")

@@ -78,10 +78,16 @@ def model_from_dict(d: dict) -> tuple[Mlp, FeatureMapKind]:
     return mlp, feature_map_from_dict(d["feature_map"])
 
 
-def save_model(path, mlp: Mlp, feature_map: FeatureMapKind) -> None:
+def write_json(path, payload: dict) -> None:
+    """The one JSON writer, for model files and every report: ASCII,
+    one-space indent and a final newline."""
     with open(path, "w", encoding="ascii") as f:
-        json.dump(model_to_dict(mlp, feature_map), f, indent=1)
+        json.dump(payload, f, indent=1)
         f.write("\n")
+
+
+def save_model(path, mlp: Mlp, feature_map: FeatureMapKind) -> None:
+    write_json(path, model_to_dict(mlp, feature_map))
 
 
 def load_model(path) -> tuple[Mlp, FeatureMapKind]:

@@ -118,6 +118,21 @@ def test_eval_of_invariant_model_ignores_inversion(tmp_path, small_csv):
     assert a == b
 
 
+def test_a_no_flag_overrides_a_config_files_true(tmp_path, small_csv):
+    train_out = tmp_path / "train"
+    run("train", "--data", small_csv, "--out", str(train_out), "--epochs", "2")
+    model = str(train_out / "model.json")
+    config = tmp_path / "run.cfg"
+    config.write_text("invert = true\n")
+    plain, overridden = tmp_path / "plain", tmp_path / "overridden"
+    assert run("eval", "--data", small_csv, "--model", model, "--out", str(plain)) == 0
+    assert run("eval", "--data", small_csv, "--model", model, "--config", str(config),
+               "--no-invert", "--out", str(overridden)) == 0
+    assert manifest(overridden)["config"]["invert"] is False
+    assert ((overridden / "eval_report.json").read_bytes()
+            == (plain / "eval_report.json").read_bytes())
+
+
 def test_reproduce_figure1(tmp_path):
     out = tmp_path / "fig"
     assert run("reproduce", "figure1", "--out", str(out)) == 0
@@ -723,11 +738,13 @@ def _stream_of(capsys, call):
 @pytest.mark.parametrize("argv", [
     ["train", "--bogus"], ["train", "--epo", "3"], ["reproduce", "table1", "--seed", "0"],
     ["bogus"], ["reproduce"], ["data", "--out", "d", "stats"], [],
-    ["train", "--epochs", "x"], ["train", "--bias", "--no-bias"], ["eval", "--model"],
+    ["train", "--epochs", "x"], ["train", "--bias", "--no-bias"],
+    ["eval", "--invert", "--no-invert"], ["eval", "--model"],
     ["probe", "orbit", "extra"], ["train", "--", "x"], ["train", "--out=d", "--version"],
 ], ids=["unknown-flag", "abbreviated-flag", "abbreviated-seeds", "unknown-command",
         "missing-second-word", "flag-before-second-word", "no-command", "bad-int",
-        "exclusive-flags", "missing-value", "extra-word", "double-dash", "leaf-version"])
+        "exclusive-flags", "exclusive-invert-flags", "missing-value", "extra-word",
+        "double-dash", "leaf-version"])
 def test_usage_errors_read_as_with_the_full_parser(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # a parse that succeeded would write here
     with pytest.raises(CliError) as expected:

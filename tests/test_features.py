@@ -6,8 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from symdigits.digits import Dataset, _shift_index, augment_shifts
 from symdigits.features import (Identity, NeighborProduct, PermutationProduct, Square,
-                                feature_map_from_name, inversion_group, make_permutation,
-                                relative_sign)
+                                feature_map_from_name, inversion_group, relative_sign)
 
 from conftest import grid_translation, random_images
 
@@ -197,19 +196,19 @@ def test_row_relative_signs_recoverable_from_neighbor_chains():
 # ---------------------------------------------------------------------------
 
 
-def test_make_permutation_deterministic():
-    assert np.array_equal(make_permutation(123), make_permutation(123))
+def test_permutation_is_deterministic():
+    assert np.array_equal(PermutationProduct(123).perm, PermutationProduct(123).perm)
 
 
 def test_permutation_composes_with_inverse_to_identity():
-    perm = make_permutation(17)
+    perm = PermutationProduct(17).perm
     inverse = np.argsort(perm)
     assert np.array_equal(perm[inverse], np.arange(64))
     assert np.array_equal(inverse[perm], np.arange(64))
 
 
 def test_seed0_permutation_matches_golden():
-    assert make_permutation(0).tolist() == GOLDEN_PERM_SEED0
+    assert PermutationProduct(0).perm.tolist() == GOLDEN_PERM_SEED0
 
 
 def test_fixed_point_count_reported():

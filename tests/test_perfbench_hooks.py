@@ -8,8 +8,11 @@ import importlib.util
 import math
 from pathlib import Path
 
+import pytest
+
 import symdigits.experiments as experiments
 import symdigits.features as features
+import symdigits.network as network
 from symdigits.digits import Dataset
 from symdigits.features import Identity
 from symdigits.network import TrainConfig
@@ -78,3 +81,16 @@ def test_traced_table_pass_counts_what_the_benchmark_pins(corpus):
     assert metrics["network.train.steps"] == sum(
         math.ceil(r.sample_counts["train"] / 32) for r in report.reports.values())
     assert metrics["digits.symmetrize.calls"] >= 1
+
+
+@pytest.mark.xfail(strict=True, raises=KeyError,
+                   reason="ROADMAP item 1: the tracer's train hook reads kwargs['train_set'], "
+                          "but train's parameter is features; mending it turns this into a pass")
+def test_traced_train_counts_the_steps_of_a_keyword_call(small_splits):
+    train_ds, _ = small_splits
+    tracer = load_tracer_module().Tracer().install()
+    try:
+        network.train(TrainConfig(epochs=2), features=train_ds.pixels, labels=train_ds.labels)
+    finally:
+        tracer.uninstall()
+    assert tracer.metrics()["network.train.steps"] == 2 * math.ceil(len(train_ds) / 32)
