@@ -108,6 +108,8 @@ class TrainConfig:
 def init_mlp(dims, use_bias: bool, seed_or_rng=0) -> Mlp:
     """Fan-in-scaled uniform init: weights ~ U[-a, a], a = 1/sqrt(fan_in);
     biases (when present) start at zero."""
+    if min(dims) < 1:
+        raise ValueError(f"every layer width must be >= 1, got {tuple(dims)}")
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) \
         else np.random.default_rng(seed_or_rng)
     layers = []
@@ -131,18 +133,28 @@ def as_integers(values, name: str) -> np.ndarray:
 
 
 def _check_features(mlp: Mlp, h: np.ndarray) -> None:
+    if h.ndim not in (1, 2):
+        raise ValueError(f"need a feature vector or an (n, d) batch, got shape {h.shape}")
     if h.shape[-1] != mlp.layers[0].fan_in:
         raise ValueError(
             f"feature dimension {h.shape[-1]} does not match network input "
             f"{mlp.layers[0].fan_in}")
 
 
-def _forward(layers: list[Layer], h: np.ndarray, outs: list[np.ndarray]) -> np.ndarray:
+def _check_rows(x: np.ndarray, y: np.ndarray, ndim: int | None = None) -> None:
+    """One label for each row of ``x`` (its last axis is a row), and ``x``
+    of ``ndim`` dimensions when that is given."""
+    if x.ndim == 0 or y.shape != x.shape[:-1] or ndim not in (None, x.ndim):
+        raise ValueError(f"need (n, d) features and n labels, got {x.shape} and {y.shape}")
+
+
+def _forward(layers: list[Layer], h: np.ndarray, outs: list[np.ndarray] | None) -> np.ndarray:
     """The layer recurrence: layer i's output goes to ``outs[i]`` (tanh on
-    the hidden layers); returns the last one, the logits."""
+    the hidden layers); returns the last one, the logits.  With ``outs``
+    None each output is a new array, freed once the next layer has read it."""
     last = len(layers) - 1
     for i, layer in enumerate(layers):
-        h = np.dot(h, layer.weights.T, out=outs[i])
+        h = np.dot(h, layer.weights.T, out=None if outs is None else outs[i])
         if layer.bias is not None:
             h += layer.bias
         if i < last:
@@ -154,7 +166,7 @@ def forward(mlp: Mlp, features) -> np.ndarray:
     """The logits of a feature vector (fan_in,) or a batch (n, fan_in)."""
     h = np.asarray(features, dtype=np.float64)
     _check_features(mlp, h)
-    return _forward(mlp.layers, h, [np.empty((*h.shape[:-1], l.fan_out)) for l in mlp.layers])
+    return _forward(mlp.layers, h, None)
 
 
 def _check_logits(z: np.ndarray) -> None:
@@ -176,6 +188,8 @@ def _softmax(z: np.ndarray, row: np.ndarray) -> np.ndarray:
 def softmax(logits) -> np.ndarray:
     """Normalized probabilities, computed with max-subtraction."""
     z = np.asarray(logits, dtype=np.float64)
+    if z.ndim == 0:
+        raise ValueError("softmax needs logits along a last axis, got a scalar")
     _check_logits(z)
     return _softmax(z.copy(), np.empty((*z.shape[:-1], 1)))
 
@@ -198,9 +212,11 @@ def predict(mlp: Mlp, features) -> int | np.ndarray:
 
 
 def cross_entropy_loss(probabilities, label) -> float | np.ndarray:
-    """-log p_label, with p clamped at 1e-15 before the log."""
+    """-log p_label, with p clamped at 1e-15 before the log; one label for
+    each probability vector (the last axis of ``probabilities``)."""
     p = np.asarray(probabilities, dtype=np.float64)
-    y = np.asarray(label)
+    y = as_integers(label, "labels")
+    _check_rows(p, y)
     _check_labels(y, p.shape[-1])
     picked = np.take_along_axis(p, y.reshape(*y.shape, 1), axis=-1)[..., 0]
     out = np.negative(_log_probability(picked), out=picked)
@@ -209,7 +225,10 @@ def cross_entropy_loss(probabilities, label) -> float | np.ndarray:
 
 def sample_loss(mlp: Mlp, features, label) -> float | np.ndarray:
     """Cross-entropy of softmax(forward(...)) for one sample or a batch."""
-    return cross_entropy_loss(softmax(forward(mlp, features)), label)
+    x = np.asarray(features, dtype=np.float64)
+    y = as_integers(label, "labels")
+    _check_rows(x, y)
+    return cross_entropy_loss(softmax(forward(mlp, x)), y)
 
 
 def total_loss(mlp: Mlp, features, labels) -> float:
@@ -273,8 +292,11 @@ def backward(mlp: Mlp, features, label) -> list[Layer]:
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     y = np.atleast_1d(as_integers(label, "labels"))
+    _check_rows(x, y)
     _check_features(mlp, x)
     n, n_classes = len(y), mlp.layers[-1].fan_out
+    if n == 0:
+        raise ValueError("need at least one sample")
     _check_labels(y, n_classes)
     grads = _flatten(mlp.layers)[1]  # every entry is overwritten by the kernel
     _backprop(mlp.layers, x, np.eye(n_classes)[y], np.arange(n) * n_classes + y, np.empty(n),
@@ -328,8 +350,7 @@ def train(config: TrainConfig, features, labels) -> TrainResult:
     """
     X = np.asarray(features, dtype=np.float64, order="C")  # row gathers copy only their rows
     y = as_integers(labels, "labels")
-    if X.ndim != 2 or y.shape != (len(X),):
-        raise ValueError(f"need (n, d) features and n labels, got {X.shape} and {y.shape}")
+    _check_rows(X, y, 2)
     n = len(y)
     if n == 0:
         raise ValueError("training set is empty")

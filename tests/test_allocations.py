@@ -2,7 +2,8 @@
 
 Validation, symmetrization, the closure check, the identity feature map,
 training on any feature map's output and softmax build no full-size
-temporary; the shifted split builds no whole augmented corpus, the table
+temporary; forward holds only the two layer outputs it is using, and the
+loss adds only the softmax to that; the shifted split builds no whole augmented corpus, the table
 runs hold one seed's sets at a time, and a symmetrized row never holds
 X_train beside +-X_train.  Each bound is the size of what the call must
 hold (its result, or one label block) plus a margin over the measured
@@ -19,7 +20,8 @@ from symdigits.degeneracy import dataset_is_inversion_closed
 from symdigits.digits import Dataset, shifted_split, split, symmetrize
 from symdigits.experiments import reproduce_tables
 from symdigits.features import Identity, NeighborProduct, PermutationProduct, Square
-from symdigits.network import N_CLASSES, TrainConfig, init_mlp, softmax, train
+from symdigits.network import (N_CLASSES, TrainConfig, forward, init_mlp, sample_loss, softmax,
+                               train)
 from symdigits.persistence import save_model
 
 from conftest import random_images
@@ -115,6 +117,30 @@ def test_softmax_allocates_its_result_and_one_column():
     # the result and the (n, 1) max/sum column, 1.1 x the result; measured
     # 1.18 x; the allocating form (shifted, exp, quotient) peaked at 3.18 x
     assert peak <= 1.25 * p.nbytes
+
+
+@pytest.mark.parametrize("use_bias", [False, True], ids=["no-bias", "bias"])
+def test_forward_holds_two_layer_outputs_at_a_time(use_bias):
+    mlp = init_mlp((64, 10, 5, 10), use_bias, 0)
+    x = random_images(N_ROWS)
+    logits, peak = traced_peak(lambda: forward(mlp, x))
+    assert logits.shape == (N_ROWS, N_CLASSES)
+    # the widest adjacent pair of outputs, 10 + 5 or 5 + 10 floats a row,
+    # plus 4 kB; measured 15 floats a row and 408 bytes; holding all three
+    # outputs at once would be 25
+    assert peak <= 15 * 8 * N_ROWS + 4096
+
+
+def test_sample_loss_adds_only_the_softmax_to_forward():
+    mlp = init_mlp((64, 10, 5, 10), False, 0)
+    x = random_images(N_ROWS)
+    labels = np.random.default_rng(4).integers(0, N_CLASSES, N_ROWS)
+    losses, peak = traced_peak(lambda: sample_loss(mlp, x, labels))
+    assert losses.shape == (N_ROWS,)
+    # the logits and their softmax copy (10 floats a row each), its max/sum
+    # column and the picked probabilities, after forward's 15 have gone:
+    # measured 21.8 floats a row; holding all three layer outputs would be 25
+    assert peak <= 22 * 8 * N_ROWS
 
 
 def test_shifted_split_holds_its_results_and_the_unshifted_sides(corpus):

@@ -75,20 +75,54 @@ def test_train_then_eval_round_trip(tmp_path, small_csv):
     assert eval_report["bound_holds"] is True
 
 
+# every command, with relative paths so that no output names the directory
+# its interpreter ran in
+EVERY_COMMAND = [
+    ["data", "stats", "--out", "stats"],
+    ["data", "convert", "--out", "convert"],
+    ["train", "--epochs", "2", "--out", "train"],
+    ["eval", "--model", "train/model.json", "--out", "eval"],
+    ["eval", "--model", "train/model.json", "--invert", "--out", "eval-inverted"],
+    ["reproduce", "figure1", "--out", "figure1"],
+    ["reproduce", "table1", "--epochs", "2", "--seeds", "0", "--out", "table1"],
+    ["reproduce", "table2", "--epochs", "2", "--seeds", "0", "--out", "table2"],
+    ["probe", "weight-flip", "--out", "weight-flip"],
+    ["probe", "orbit", "--n", "16", "--out", "orbit"],
+    ["probe", "goldstone", "--n", "16", "--out", "goldstone"],
+    ["probe", "sampled-loss", "--trials", "200", "--out", "sampled-loss"],
+]
+
+
 def test_saved_model_does_not_depend_on_blas_thread_count(tmp_path):
-    # one interpreter per thread count: OpenBLAS reads it once, at start-up
+    # one interpreter per thread count (OpenBLAS reads it once, at start-up),
+    # which runs every command through cli.main
     src = str(Path(symdigits.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # prints every exit status: the tables' bands fail at 2 epochs (2)
+    script = ("import json, sys\n"
+              "from symdigits.cli import main\n"
+              "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n")
     outputs = []
     for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
         proc = subprocess.run(
-            [sys.executable, "-m", "symdigits.cli", "train", "--epochs", "2", "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=300)
+            [sys.executable, "-c", script, json.dumps(EVERY_COMMAND)], cwd=cwd,
+            env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, text=True,
+            timeout=300)
         assert proc.returncode == 0, proc.stderr
-        outputs.append((out / "model.json").read_bytes())
-    assert outputs[0] == outputs[1]
+        codes = dict(zip((" ".join(argv) for argv in EVERY_COMMAND),
+                         json.loads(proc.stdout.splitlines()[-1])))
+        assert all(code in (0, 2) for code in codes.values()), (codes, proc.stderr)
+        outputs.append((codes, {path.relative_to(cwd).as_posix(): path.read_bytes()
+                                for path in sorted(cwd.rglob("*"))
+                                if path.is_file() and path.name != "manifest.json"}))
+    (codes, files), (codes_2, files_2) = outputs
+    assert codes == codes_2
+    assert {name.split("/")[0] for name in files} == {argv[-1] for argv in EVERY_COMMAND}
+    assert files.keys() == files_2.keys()
+    assert [name for name in files if files[name] != files_2[name]] == []
 
 
 def test_eval_invert_flag_swaps_accuracies(tmp_path, small_csv):

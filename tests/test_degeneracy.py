@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import symdigits.degeneracy as degeneracy
-from symdigits.degeneracy import (ROTATION_GENERATOR, TOY_BASE_POINTS, SampledLossReport,
+from symdigits.degeneracy import (GRAD_TOL, ROTATION_GENERATOR, TOY_BASE_POINTS, SampledLossReport,
                                   dataset_is_inversion_closed,
                                   generator_curvature, generator_curvature_sweep,
                                   make_toy_task, orbit_loss_scan, rotation_matrix,
@@ -316,6 +316,41 @@ def test_train_toy_stops_at_its_fixed_point_with_the_same_bits(monkeypatch, n, s
     assert train_toy(task).tobytes() == reference_train_toy(task).tobytes()
     if n >= 64:  # w reaches a bitwise fixed point near step 500 at these orders
         assert calls.index("l") < 800
+
+
+def test_train_toy_rejects_seven_newton_steps_at_n16_seed2(monkeypatch):
+    # the one task among n in {4, 16, 64, 360} and seeds 0-9 where a damped
+    # Newton step fails to lower the gradient norm and is retried with more
+    # damping; each Newton iteration computes one Hessian and ends at the
+    # step it accepts, so every other solve is a rejected step
+    task = make_toy_task(16, seed=2)
+    calls = []
+    solve, hessian = np.linalg.solve, degeneracy.toy_hessian
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append("solve") or solve(a, b))
+    monkeypatch.setattr(degeneracy, "toy_hessian",
+                        lambda task, w: calls.append("H") or hessian(task, w))
+    w = train_toy(task)
+    assert calls.count("solve") - calls.count("H") == 7
+    assert np.linalg.norm(toy_gradient(task, w)) < GRAD_TOL
+
+
+def test_train_toy_retries_a_singular_newton_system_with_more_damping(monkeypatch):
+    task = make_toy_task(16)
+    systems = []
+    solve = np.linalg.solve
+
+    def singular_once(a, b):
+        systems.append(a.copy())
+        if len(systems) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_once)
+    w = train_toy(task)
+    # the retry solves H + lam I again with lam ten times larger (1e-8 to 1e-7)
+    assert systems[1][0, 1] == systems[0][0, 1]
+    np.testing.assert_allclose(np.diag(systems[1] - systems[0]), 9e-8, rtol=1e-6)
+    assert np.linalg.norm(toy_gradient(task, w)) < GRAD_TOL
 
 
 def test_orbit_scan_is_flat_for_closed_task():

@@ -1,4 +1,6 @@
 import math
+import re
+import traceback
 import warnings
 
 import numpy as np
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from symdigits.network import (GATHER_BATCHES, PAPER_HIDDEN_DIMS, Layer, Mlp, TrainConfig,
-                               TrainingDiverged, TrainResult, _flatten, as_integers, backward, cross_entropy_loss, forward, grad_check,
-                               init_mlp, predict, softmax, total_loss,
+                               TrainingDiverged, TrainResult, _flatten, _forward, as_integers, backward, cross_entropy_loss, forward, grad_check,
+                               init_mlp, predict, sample_loss, softmax, total_loss,
                                train)
 
 from conftest import random_images
@@ -292,6 +294,13 @@ def test_train_accepts_integral_float_labels():
     assert as_float.epoch_losses == as_int.epoch_losses
 
 
+def test_as_integers_stops_below_two_to_the_63():
+    # 2**63 is the first double outside int64; the one below it converts exactly
+    with pytest.raises(ValueError, match="labels must be integers"):
+        as_integers([2.0**63], "labels")
+    assert as_integers([np.nextafter(2.0**63, 0)], "labels").tolist() == [9223372036854774784]
+
+
 @pytest.mark.parametrize("label", [[2.7, 3.2], 0.5, [1, np.inf]])
 def test_backward_rejects_fractional_labels(label):
     features = np.zeros((np.size(label), 64))
@@ -544,6 +553,22 @@ def test_forward_is_bit_equal_to_the_allocating_recurrence(case):
     assert same_bits(forward(mlp, x), _layer_outputs(mlp.layers, x)[-1])
 
 
+@pytest.mark.parametrize("n", [None, 1, 7, 32, 2245, 17970], ids=lambda n: f"n={n}")
+@pytest.mark.parametrize("use_bias", [False, True], ids=["no-bias", "bias"])
+def test_forward_is_bit_equal_to_the_recurrence_on_preallocated_outputs(n, use_bias):
+    # forward allocates each layer's output as it goes, while _backprop
+    # writes into a workspace made beforehand: their logits must agree
+    mlp = small_net(use_bias=use_bias, seed=9)
+    if use_bias:
+        for layer in mlp.layers:
+            layer.bias[:] = np.random.default_rng(9).uniform(-1, 1, layer.fan_out)
+    x = random_images(1 if n is None else n, seed=9)
+    if n is None:
+        x = x[0]
+    outs = [np.empty((*x.shape[:-1], layer.fan_out)) for layer in mlp.layers]
+    assert same_bits(forward(mlp, x), _forward(mlp.layers, x, outs))
+
+
 logit_arrays = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=12),
                           elements=st.floats(-800.0, 800.0))
 
@@ -635,3 +660,75 @@ def test_divergence_names_its_cause_and_epoch(value, message, n, batch, position
         with pytest.raises(TrainingDiverged) as info:
             train(TrainConfig(seed=0, epochs=2, batch_size=batch), features, labels)
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# shape contracts
+# ---------------------------------------------------------------------------
+
+
+def _mismatch(x_shape, y_shape):
+    return re.escape(f"need (n, d) features and n labels, got {x_shape} and {y_shape}")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: backward(m, np.zeros((3, 64)), [1, 2]), _mismatch((3, 64), (2,))),
+    (lambda m: backward(m, np.zeros(64), [1, 2]), _mismatch((1, 64), (2,))),
+    (lambda m: grad_check(m, (np.zeros(64), [1, 2])), _mismatch((1, 64), (2,))),
+    (lambda m: total_loss(m, np.zeros((3, 64)), [1, 2]), _mismatch((3, 64), (2,))),
+    (lambda m: sample_loss(m, np.zeros((3, 64)), [1, 2]), _mismatch((3, 64), (2,))),
+    (lambda m: cross_entropy_loss(np.full((2, 10), 0.1), [1, 2, 3]), _mismatch((2, 10), (3,))),
+    (lambda m: forward(m, np.float64(1.0)), re.escape("got shape ()")),
+    (lambda m: predict(m, np.zeros((2, 3, 64))), re.escape("got shape (2, 3, 64)")),
+], ids=["backward-rows", "backward-vector", "grad_check", "total_loss", "sample_loss",
+        "cross_entropy_loss", "forward-scalar", "predict-3d"])
+def test_a_shape_outside_the_contract_is_a_value_error_naming_it(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(small_net())
+
+
+SHAPE_NET = init_mlp((3, 4, 10), True, 0)
+
+
+def _public_calls(x, y):
+    """Every public function of ``network`` that takes features, logits or
+    labels, called on ``x`` and ``y``."""
+    return {
+        "forward": lambda: forward(SHAPE_NET, x),
+        "predict": lambda: predict(SHAPE_NET, x),
+        "softmax": lambda: softmax(x),
+        "cross_entropy_loss": lambda: cross_entropy_loss(x, y),
+        "sample_loss": lambda: sample_loss(SHAPE_NET, x, y),
+        "total_loss": lambda: total_loss(SHAPE_NET, x, y),
+        "backward": lambda: backward(SHAPE_NET, x, y),
+        "grad_check": lambda: grad_check(SHAPE_NET, (x, y)),
+        "train": lambda: train(TrainConfig(epochs=1, batch_size=1), x, y),
+        "as_integers": lambda: as_integers(y, "labels"),
+    }
+
+
+@st.composite
+def shape_pairs(draw):
+    """A features shape (0-3 dims, often SHAPE_NET's 3 wide) and a labels
+    shape (0-2 dims), half the time the one that matches the rows."""
+    x_shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    y_shape = draw(st.one_of(st.just(x_shape[:-1]),
+                             hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)))
+    return x_shape, y_shape
+
+
+@settings(max_examples=300, deadline=None)
+@given(shapes=shape_pairs(), seed=st.integers(0, 2**32 - 1))
+def test_public_functions_return_or_raise_their_own_errors_for_any_shape(shapes, seed):
+    x_shape, y_shape = shapes
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, x_shape)  # also probabilities, for cross_entropy_loss
+    y = rng.integers(0, 3, y_shape)
+    for name, call in _public_calls(x, y).items():
+        try:
+            call()
+        except (ValueError, TypeError) as exc:
+            # numpy's AxisError is a ValueError and an IndexError
+            assert not isinstance(exc, IndexError), (name, x_shape, y_shape, exc)
+            assert "symdigits" in traceback.extract_tb(exc.__traceback__)[-1].filename, \
+                (name, x_shape, y_shape, exc)
