@@ -55,10 +55,16 @@ def weight_flip_deviation(mlp: Mlp, ds: Dataset) -> float:
     """|Omega(W1) - Omega(-W1)| / Omega(W1) on raw pixels (no closure guard).
 
     -W1 is the inversion image of the parameters; every other layer is kept.
+    An empty dataset, or a loss Omega(W1) of 0, leaves the ratio undefined
+    and is a ValueError.
     """
+    if len(ds) == 0:
+        raise ValueError("cannot evaluate on an empty dataset")
     flipped = mlp.copy()
     flipped.layers[0].weights = -flipped.layers[0].weights
     omega = total_loss(mlp, ds.pixels, ds.labels)
+    if omega == 0.0:
+        raise ValueError("the loss is 0, so its relative change under W1 -> -W1 is undefined")
     omega_flipped = total_loss(flipped, ds.pixels, ds.labels)
     return abs(omega - omega_flipped) / abs(omega)
 
@@ -174,8 +180,8 @@ TOY_BASE_POINTS = 200       # base points, half on each circle, before the rotat
 def make_toy_task(n: int, seed: int = 0) -> ToyRotationTask:
     """TOY_BASE_POINTS points at random angles on two circles, labels by
     radius, and all their C_n rotations."""
-    if n < 1:
-        raise ValueError("group order n must be >= 1")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"group order n must be an integer >= 1, got {n!r}")
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=TOY_BASE_POINTS)
     radius = np.repeat(TOY_RADII, TOY_BASE_POINTS // 2)
@@ -187,6 +193,16 @@ def make_toy_task(n: int, seed: int = 0) -> ToyRotationTask:
                            tuple(np.empty(len(points)) for _ in range(3)))
 
 
+def _toy_weights(w) -> np.ndarray:
+    """w as float64 toy weights of shape (2,); any other shape is a
+    ValueError that names it.  toy_loss and toy_gradient call it only once
+    their matmul has rejected w, so the loops that call them pay nothing."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (2,):
+        raise ValueError(f"toy weights must have shape (2,), got {w.shape}") from None
+    return w
+
+
 def toy_loss(task: ToyRotationTask, w) -> float:
     """Omega(w) = sum over the dataset of (y - tanh(w.x)^2)^2.
 
@@ -195,7 +211,12 @@ def toy_loss(task: ToyRotationTask, w) -> float:
     """
     x, y = task.points, task.labels
     r, _, _ = task.work
-    np.matmul(x, np.asarray(w, dtype=np.float64), out=r)
+    w = np.asarray(w, dtype=np.float64)
+    try:
+        np.matmul(x, w, out=r)
+    except ValueError:
+        _toy_weights(w)
+        raise
     np.tanh(r, out=r)
     np.multiply(r, r, out=r)      # f
     np.subtract(y, r, out=r)
@@ -212,7 +233,12 @@ def toy_gradient(task: ToyRotationTask, w) -> np.ndarray:
     """
     x, y = task.points, task.labels
     t, f, coeff = task.work
-    np.matmul(x, np.asarray(w, dtype=np.float64), out=t)
+    w = np.asarray(w, dtype=np.float64)
+    try:
+        np.matmul(x, w, out=t)
+    except ValueError:
+        _toy_weights(w)
+        raise
     np.tanh(t, out=t)
     np.multiply(t, t, out=f)
     np.subtract(f, y, out=coeff)
@@ -226,7 +252,7 @@ def toy_gradient(task: ToyRotationTask, w) -> np.ndarray:
 def toy_hessian(task: ToyRotationTask, w) -> np.ndarray:
     """Analytic 2x2 Hessian (used by the damped-Newton polish)."""
     x, y = task.points, task.labels
-    t = np.tanh(x @ np.asarray(w, dtype=np.float64))
+    t = np.tanh(x @ _toy_weights(w))
     f = t * t
     fp = 2.0 * t * (1.0 - t * t)
     fpp = 2.0 * (1.0 - t * t) * (1.0 - 3.0 * t * t)
@@ -304,7 +330,7 @@ def orbit_loss_scan(task: ToyRotationTask, w) -> OrbitScan:
     reassociation.
     """
     angles = group_angles(task.n)
-    w = np.asarray(w, dtype=np.float64)
+    w = _toy_weights(w)
     losses = np.array([toy_loss(task, rotation_matrix(t) @ w) for t in angles])
     spread = float((losses.max() - losses.min()) / np.mean(losses))
     return OrbitScan(angles=angles, losses=losses, relative_spread=spread)
@@ -349,6 +375,7 @@ def _power_iteration(operator, v) -> float:
 def smallest_hessian_eigenvalue(task: ToyRotationTask, w) -> float:
     """Power iteration on the shifted operator (c I - H) using
     finite-difference Hessian-vector products; never forms H."""
+    w = _toy_weights(w)
     rng = np.random.default_rng(POWER_SEED)
     lam_max = _power_iteration(lambda v: _hessian_vector_product(task, w, v),
                                rng.normal(size=2))
@@ -388,7 +415,7 @@ def generator_curvature(task: ToyRotationTask, w_star) -> CurvatureReport:
     reported as zero, with the bound recorded, so an exponentially flat
     valley does not read as noise.
     """
-    w = np.asarray(w_star, dtype=np.float64)
+    w = _toy_weights(w_star)
     g = toy_gradient(task, w)
     grad_norm = float(np.linalg.norm(g))
     if grad_norm > GRAD_NORM_LIMIT:

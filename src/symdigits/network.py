@@ -148,17 +148,18 @@ def _check_rows(x: np.ndarray, y: np.ndarray, ndim: int | None = None) -> None:
         raise ValueError(f"need (n, d) features and n labels, got {x.shape} and {y.shape}")
 
 
-def _forward(layers: list[Layer], h: np.ndarray, outs: list[np.ndarray] | None) -> np.ndarray:
-    """The layer recurrence: layer i's output goes to ``outs[i]`` (tanh on
-    the hidden layers); returns the last one, the logits.  With ``outs``
-    None each output is a new array, freed once the next layer has read it."""
-    last = len(layers) - 1
-    for i, layer in enumerate(layers):
-        h = np.dot(h, layer.weights.T, out=None if outs is None else outs[i])
-        if layer.bias is not None:
-            h += layer.bias
-        if i < last:
+def _forward(ops, h: np.ndarray) -> np.ndarray:
+    """The layer recurrence over ``ops``, one (weights.T, bias, out) per
+    layer: tanh of the previous layer's output (not of the input), then
+    its product with weights.T into ``out``, plus the bias; returns the
+    last output, the logits.  Where ``out`` is None the output is a new
+    array, freed once the next layer has read it."""
+    for i, (weights_t, bias, out) in enumerate(ops):
+        if i:
             np.tanh(h, out=h)
+        h = np.dot(h, weights_t, out=out)
+        if bias is not None:
+            h += bias
     return h
 
 
@@ -166,12 +167,20 @@ def forward(mlp: Mlp, features) -> np.ndarray:
     """The logits of a feature vector (fan_in,) or a batch (n, fan_in)."""
     h = np.asarray(features, dtype=np.float64)
     _check_features(mlp, h)
-    return _forward(mlp.layers, h, None)
+    return _forward([(l.weights.T, l.bias, None) for l in mlp.layers], h)
 
 
 def _check_logits(z: np.ndarray) -> None:
     if not np.isfinite(z).all():
         raise ValueError("softmax requires finite logits")
+
+
+def _all_finite(flat: np.ndarray, zeros: np.ndarray) -> bool:
+    """Whether every entry of the 1-d ``flat`` is finite, by one dot with
+    ``zeros`` (as long, all 0.0).  It is exact: 0*x is +-0 for a finite x
+    and NaN for +-inf or NaN, and a sum of zeros cannot overflow.  Unlike
+    np.dot, np.vdot warns of no 0*inf: the caller raises its own error."""
+    return np.vdot(flat, zeros) == 0.0
 
 
 def _softmax(z: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -237,48 +246,62 @@ def total_loss(mlp: Mlp, features, labels) -> float:
 
 
 class _Workspace:
-    """What one backprop pass over m rows writes, built once per m: each
-    layer's (m, fan_out) output (the last one's goes from logits to the
-    output delta), each hidden layer's delta and 1 - a*a, and the per-row
-    softmax max and sum."""
+    """The operands of one backprop pass over m rows of ``layers`` into
+    their gradient record ``grads``, bound once per m.  ``forward`` holds
+    ``_forward``'s (the last output goes from logits to the output delta);
+    ``backward`` one step per layer, last first: the delta and its .T, the
+    layer's input (None for the batch), the gradient views and, above the
+    first layer, the weights, the 1 - a*a buffer and the delta below."""
 
-    def __init__(self, layers: list[Layer], m: int):
-        self.acts = [np.empty((m, l.fan_out)) for l in layers]
-        self.deltas = [np.empty((m, l.fan_out)) for l in layers[:-1]]
-        self.slopes = [np.empty((m, l.fan_out)) for l in layers[:-1]]
+    def __init__(self, layers: list[Layer], grads: list[Layer], m: int):
+        acts = [np.empty((m, l.fan_out)) for l in layers]
+        self.forward = [(l.weights.T, l.bias, out) for l, out in zip(layers, acts)]
+        self.logits = acts[-1].reshape(-1)
+        self.zeros = np.zeros(len(self.logits))
         self.row = np.empty((m, 1))
+        self.m = float(m)
+        deltas = [np.empty((m, l.fan_out)) for l in layers[:-1]] + acts[-1:]
+        self.backward = []
+        for i in range(len(layers) - 1, -1, -1):
+            a_prev, down = None, None
+            if i:
+                a_prev = acts[i - 1]
+                down = (layers[i].weights, np.empty_like(a_prev), deltas[i - 1])
+            self.backward.append(
+                (deltas[i], deltas[i].T, a_prev, grads[i].weights, grads[i].bias, down))
 
 
-def _backprop(layers: list[Layer], X: np.ndarray, onehot: np.ndarray,
-              codes: np.ndarray, picked: np.ndarray, grads: list[Layer],
+def _backprop(X: np.ndarray, onehot: np.ndarray, codes: np.ndarray, picked: np.ndarray,
               ws: _Workspace) -> None:
     """The one backpropagation kernel: forward and backward over the m rows
-    of ``X``.  It runs the code of ``forward`` and ``softmax``
-    (``_forward`` and ``_softmax``) on the workspace, so its logits and
-    probabilities are theirs.
+    of ``X``, on the layers and gradient record that ``ws`` is bound to.
+    It runs the code of ``forward`` and ``softmax`` (``_forward`` and
+    ``_softmax``) on the workspace, so its logits and probabilities are
+    theirs.
 
     ``onehot`` holds the labels one-hot and ``codes`` as flat indices
     row * n_classes + label; subtracting ``onehot`` is subtracting 1 at
     each label, since x - 0.0 == x.  Each row's label probability goes to
     ``picked``, and the gradient of the mean loss to the C-contiguous
-    arrays of ``grads``.
+    arrays of the gradient record.
     """
-    logits = _forward(layers, X, ws.acts)
-    _check_logits(logits)
+    logits = _forward(ws.forward, X)
+    if not _all_finite(ws.logits, ws.zeros):
+        _check_logits(logits)
     delta = _softmax(logits, ws.row)  # the probabilities
     delta.take(codes, out=picked, mode="clip")  # codes are in range; "clip" skips a copy
     delta -= onehot
-    delta /= float(len(delta))
-    for i in range(len(layers) - 1, -1, -1):
-        a_prev = ws.acts[i - 1] if i else X
-        np.dot(delta.T, a_prev, out=grads[i].weights)
-        if grads[i].bias is not None:
-            np.add.reduce(delta, axis=0, out=grads[i].bias)
-        if i:
-            slope = np.multiply(a_prev, a_prev, out=ws.slopes[i - 1])
+    delta /= ws.m
+    for delta, delta_t, a_prev, grad_weights, grad_bias, down in ws.backward:
+        np.dot(delta_t, X if a_prev is None else a_prev, out=grad_weights)
+        if grad_bias is not None:
+            np.add.reduce(delta, axis=0, out=grad_bias)
+        if down is not None:
+            weights, slope, delta_below = down
+            np.multiply(a_prev, a_prev, out=slope)
             np.subtract(1.0, slope, out=slope)
-            delta = np.dot(delta, layers[i].weights, out=ws.deltas[i - 1])
-            delta *= slope
+            np.dot(delta, weights, out=delta_below)
+            delta_below *= slope
 
 
 def backward(mlp: Mlp, features, label) -> list[Layer]:
@@ -299,8 +322,8 @@ def backward(mlp: Mlp, features, label) -> list[Layer]:
         raise ValueError("need at least one sample")
     _check_labels(y, n_classes)
     grads = _flatten(mlp.layers)[1]  # every entry is overwritten by the kernel
-    _backprop(mlp.layers, x, np.eye(n_classes)[y], np.arange(n) * n_classes + y, np.empty(n),
-              grads, _Workspace(mlp.layers, n))
+    _backprop(x, np.eye(n_classes)[y], np.arange(n) * n_classes + y, np.empty(n),
+              _Workspace(mlp.layers, grads, n))
     return grads
 
 
@@ -343,7 +366,9 @@ def train(config: TrainConfig, features, labels) -> TrainResult:
     v = momentum*v - lr*g, W = W + v.
 
     The shuffled rows are gathered GATHER_BATCHES batches at a time into
-    one block, and each step runs ``_backprop`` on a row view of it.  The
+    one block, and each step runs ``_backprop`` on a row view of it; the
+    views and the workspace of each step are bound once per block length
+    (at most two), before the first epoch.  The
     epoch loss is reduced once per epoch from the label probabilities the
     steps keep: per-batch sums of log p (one row reduction, bit-equal to
     each batch's np.sum), added in batch order as -sum == sum(-log p).
@@ -362,12 +387,23 @@ def train(config: TrainConfig, features, labels) -> TrainResult:
     params, layers = _flatten(init.layers)
     vel = np.zeros_like(params)
     grad, grads = _flatten(init.layers)  # every step overwrites every entry
-    batch = config.batch_size
-    workspaces = {m: _Workspace(layers, m) for m in {batch, n % batch} - {0}}
+    zeros = np.zeros(len(params))  # for params' finiteness check
+    batch, momentum, learning_rate = config.batch_size, config.momentum, config.learning_rate
+    workspaces = {m: _Workspace(layers, grads, m) for m in {batch, n % batch} - {0}}
     block = np.empty((min(n, GATHER_BATCHES * batch), X.shape[1]))
     onehot = np.empty((len(block), N_CLASSES))
     codes = np.empty(len(block), dtype=np.int64)
+    probabilities = np.empty(len(block))  # each step's label probabilities, then picked's
     offsets = N_CLASSES * (np.arange(len(block)) % batch)  # row in its batch, times n_classes
+    blocks = {}  # per gather-block length: its views, then each step's views and workspace
+    for length in {len(block), n % len(block)} - {0}:
+        steps = []
+        for s in range(0, length, batch):
+            e = min(s + batch, length)
+            steps.append((block[s:e], onehot[s:e], codes[s:e], probabilities[s:e],
+                          workspaces[e - s]))
+        blocks[length] = (block[:length], onehot[:length], codes[:length], offsets[:length],
+                          probabilities[:length], steps)
     eye = np.eye(N_CLASSES)
     picked = np.empty(n)
     full = n - n % batch
@@ -376,28 +412,28 @@ def train(config: TrainConfig, features, labels) -> TrainResult:
         order = rng.permutation(n)
         for a in range(0, n, len(block)):
             b = min(a + len(block), n)
+            rows, hot, block_codes, block_offsets, block_probabilities, steps = blocks[b - a]
             # each block starts a batch; indices are in range, and "clip"
             # skips the copy that "raise" makes with out=
-            rows = X.take(order[a:b], axis=0, out=block[:b - a], mode="clip")
-            block_codes = y.take(order[a:b], out=codes[:b - a], mode="clip")  # labels, so far
-            hot = eye.take(block_codes, axis=0, out=onehot[:b - a], mode="clip")
-            block_codes += offsets[:b - a]  # now the flat codes
-            for s in range(0, b - a, batch):
-                e = min(s + batch, b - a)
+            X.take(order[a:b], axis=0, out=rows, mode="clip")
+            y.take(order[a:b], out=block_codes, mode="clip")  # labels, so far
+            eye.take(block_codes, axis=0, out=hot, mode="clip")
+            block_codes += block_offsets  # now the flat codes
+            for step in steps:
                 try:
-                    _backprop(layers, rows[s:e], hot[s:e], block_codes[s:e],
-                              picked[a + s:a + e], grads, workspaces[e - s])
+                    _backprop(*step)
                 except ValueError as exc:  # labels are checked above: the logits overflowed
                     raise TrainingDiverged(f"{exc} in epoch {epoch}") from None
-                vel *= config.momentum
-                grad *= config.learning_rate
+                vel *= momentum
+                grad *= learning_rate
                 vel -= grad
                 params += vel
-                if not np.isfinite(params).all():
+                if not _all_finite(params, zeros):
                     what, i = next((what, i) for i, l in enumerate(layers)
                                    for what, a in (("weights", l.weights), ("bias", l.bias))
                                    if a is not None and not np.isfinite(a).all())
                     raise TrainingDiverged(f"non-finite {what} in layer {i} in epoch {epoch}")
+            picked[a:b] = block_probabilities
         _log_probability(picked)
         sums = np.add.reduce(picked[:full].reshape(-1, batch), axis=1).tolist()
         if full < n:

@@ -1,7 +1,12 @@
+import re
+import warnings
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import symdigits.degeneracy as degeneracy
 from symdigits.degeneracy import (GRAD_TOL, ROTATION_GENERATOR, TOY_BASE_POINTS, SampledLossReport,
@@ -13,7 +18,7 @@ from symdigits.degeneracy import (GRAD_TOL, ROTATION_GENERATOR, TOY_BASE_POINTS,
                                   weight_flip_deviation, weight_orbit_invariance)
 from symdigits.digits import Dataset, symmetrize
 from symdigits.features import NeighborProduct, Square, inversion_group
-from symdigits.network import init_mlp, sample_loss, train, TrainConfig
+from symdigits.network import Layer, Mlp, init_mlp, sample_loss, train, TrainConfig
 
 from conftest import random_images
 
@@ -71,6 +76,26 @@ def test_weight_flip_guards():
         weight_orbit_invariance(init_mlp((64, 4, 10), True, 0), sym)
     with pytest.raises(ValueError, match="closed"):
         weight_orbit_invariance(init_mlp((64, 4, 10), False, 0), image_dataset())
+
+
+def test_weight_flip_on_an_empty_dataset_is_a_value_error():
+    empty = Dataset(np.empty((0, 64)), [])
+    mlp = init_mlp((64, 4, 10), False, 0)
+    for probe in (weight_flip_deviation, weight_orbit_invariance):
+        with pytest.raises(ValueError, match="cannot evaluate on an empty dataset"):
+            probe(mlp, empty)
+
+
+def test_weight_flip_at_zero_loss_is_a_value_error():
+    # one image whose label logit leads by 3200: p == 1.0 exactly, so
+    # Omega(W1) == 0 and the relative deviation has no denominator
+    weights = np.zeros((10, 64))
+    weights[3] = 100.0
+    mlp = Mlp([Layer(weights)])
+    ds = Dataset(np.full((1, 64), 0.5), [3])
+    assert sample_loss(mlp, ds.pixels, ds.labels)[0] == 0.0
+    with pytest.raises(ValueError, match="the loss is 0"):
+        weight_flip_deviation(mlp, ds)
 
 
 def test_invariant_features_remove_the_degeneracy_premise():
@@ -459,5 +484,28 @@ def test_power_iteration_stops_at_its_fixed_point_with_the_same_bits(monkeypatch
 
 
 def test_group_order_validation():
-    with pytest.raises(ValueError):
-        make_toy_task(0)
+    for n in (0, -1, 1.5, 4.0, "4", None):
+        with pytest.raises(ValueError, match=re.escape(f"an integer >= 1, got {n!r}")):
+            make_toy_task(n)
+
+
+SHAPE_TASK = make_toy_task(2)
+# every public function of ``degeneracy`` that takes toy weights
+TOY_WEIGHT_FUNCTIONS = (toy_loss, toy_gradient, toy_hessian, orbit_loss_scan,
+                        generator_curvature, smallest_hessian_eigenvalue)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.one_of(st.just((2,)),
+                       hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)),
+       seed=st.integers(0, 2**32 - 1))
+def test_toy_functions_take_weights_of_shape_2_only(shape, seed):
+    w = np.random.default_rng(seed).uniform(0.5, 1.0, shape)
+    for function in TOY_WEIGHT_FUNCTIONS:
+        if shape == (2,):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # generator_curvature: w is no minimum
+                function(SHAPE_TASK, w)
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"must have shape (2,), got {shape}")):
+                function(SHAPE_TASK, w)

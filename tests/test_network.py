@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from symdigits.network import (GATHER_BATCHES, PAPER_HIDDEN_DIMS, Layer, Mlp, TrainConfig,
-                               TrainingDiverged, TrainResult, _flatten, _forward, as_integers, backward, cross_entropy_loss, forward, grad_check,
+                               TrainingDiverged, TrainResult, _all_finite, _flatten, _forward, as_integers, backward, cross_entropy_loss, forward, grad_check,
                                init_mlp, predict, sample_loss, softmax, total_loss,
                                train)
 
@@ -566,7 +566,8 @@ def test_forward_is_bit_equal_to_the_recurrence_on_preallocated_outputs(n, use_b
     if n is None:
         x = x[0]
     outs = [np.empty((*x.shape[:-1], layer.fan_out)) for layer in mlp.layers]
-    assert same_bits(forward(mlp, x), _forward(mlp.layers, x, outs))
+    ops = [(layer.weights.T, layer.bias, out) for layer, out in zip(mlp.layers, outs)]
+    assert same_bits(forward(mlp, x), _forward(ops, x))
 
 
 logit_arrays = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=12),
@@ -597,12 +598,15 @@ def test_cross_entropy_loss_is_the_clamped_log_it_replaced(data):
         assert same_bits(got, want)
 
 
-@pytest.mark.parametrize("n, batch", [(37, 1), (20, 20), (44, 8), (75, 2), (100, 3)], ids=[
+@pytest.mark.parametrize("n, batch", [(37, 1), (20, 20), (44, 8), (75, 2), (100, 3), (64, 2),
+                                      (33, 32)], ids=[
     "batch-1-three-blocks",
     "batch-n",
     "under-one-block-partial-batch",
     "three-blocks-partial-last-batch",
     "last-block-one-batch-and-a-row",
+    "two-whole-blocks",
+    "one-block-last-batch-one-row",
 ])
 @pytest.mark.parametrize("use_bias", [False, True], ids=["no-bias", "bias"])
 @pytest.mark.parametrize("momentum", [0.0, 0.9], ids=["momentum-0", "momentum-0.9"])
@@ -628,6 +632,26 @@ def test_train_gives_the_same_model_for_any_memory_layout(layout):
     got, want = train(config, laid_out, labels), train(config, features, labels)
     assert same_bits(_flatten(got.mlp.layers)[0], _flatten(want.mlp.layers)[0])
     assert got.epoch_losses == want.epoch_losses
+
+
+NON_FINITE_OR_EXTREME = st.sampled_from([np.nan, np.inf, -np.inf, 5e-324, -2.5e-310,
+                                          1.7976931348623157e308, -1.7976931348623157e308,
+                                          -0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_all_finite_is_isfinite_all(data):
+    # train and _backprop check finiteness with one dot against zeros
+    n = data.draw(st.integers(1, 800))
+    x = data.draw(hnp.arrays(np.float64, n, elements=st.floats(allow_nan=False,
+                                                                allow_infinity=False)))
+    for position, value in data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                        NON_FINITE_OR_EXTREME), max_size=6)):
+        x[position] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning, not even for 0 * inf
+        assert _all_finite(x, np.zeros(n)) == np.isfinite(x).all()
 
 
 def features_with_bad_row(n, position, value, seed=0):
